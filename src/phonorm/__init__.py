@@ -10,7 +10,6 @@ from .charcodec import Alphabet, EncodingError, build_alphabet, decode, encode, 
 from .evaluation import (
     EvalReport,
     NoiseModel,
-    SetupId,
     SyntheticBenchmark,
     error_analysis,
     evaluate,
@@ -39,7 +38,7 @@ from .matcher import (
     modified_levenshtein,
     tie_break_score,
 )
-from .pipeline import NormalizationResult, normalize, normalize_batch
+from .pipeline import NormalizationResult, SetupId, normalize, normalize_batch
 from .prenorm import expand_digits, prenormalize, trim_elongation
 from .seq2seq import (
     CheckpointError,

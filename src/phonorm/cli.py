@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .evaluation import (
     NoiseModel,
-    SetupId,
     evaluate,
     format_report_table,
     generate_benchmark,
@@ -32,7 +32,7 @@ from .lexicon import (
     save_test_set,
 )
 from .matcher import DEFAULT_EQUIVALENCE_CLASSES, MODIFIED, STANDARD, load_equivalence_classes
-from .pipeline import BatchError, normalize_batch
+from .pipeline import BatchError, SetupId, normalize_batch
 from .prenorm import load_digit_table
 from .seq2seq import TrainingConfig, load_checkpoint, save_checkpoint, train
 
@@ -84,23 +84,13 @@ def cmd_train(args) -> int:
     )
 
     def report(rec):
-        record = {
-            "type": "epoch",
-            "epoch": rec.epoch,
-            "train_loss": rec.train_loss,
-            "train_char_accuracy": rec.train_char_accuracy,
-            "train_exact_accuracy": rec.train_exact_accuracy,
-            "val_loss": rec.val_loss,
-            "val_char_accuracy": rec.val_char_accuracy,
-            "val_exact_accuracy": rec.val_exact_accuracy,
-        }
         text = (
             f"epoch {rec.epoch}\tloss {rec.train_loss:.6f}"
             f"\tchar_acc {rec.train_char_accuracy:.4f}\texact_acc {rec.train_exact_accuracy:.4f}"
         )
         if rec.val_loss is not None:
             text += f"\tval_loss {rec.val_loss:.6f}\tval_char_acc {rec.val_char_accuracy:.4f}"
-        _emit(record, args.format, text)
+        _emit({"type": "epoch", **asdict(rec)}, args.format, text)
 
     params, trace = train(lexicon, config, on_epoch=report)
     save_checkpoint(args.checkpoint, params)
@@ -115,47 +105,43 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_model_mode(args, parser):
-    """Turn --setup / --mode / --checkpoint into (model or None, mode string)."""
+def _load_setups(args, parser):
+    """Load --checkpoint and turn --setup / --mode into the setups to run.
+
+    Without --setup (normalize only) the setup follows from whether a
+    checkpoint was given and from --mode. Returns (model or None, setups).
+    """
     model = load_checkpoint(args.checkpoint) if args.checkpoint is not None else None
-    if args.setup is not None:
-        setup = SetupId.parse(args.setup)
-        if setup.uses_model and model is None:
-            parser.error(f"--setup {args.setup} needs --checkpoint")
-        return (model if setup.uses_model else None), setup.mode
-    mode = args.mode if args.mode is not None else MODIFIED
-    return model, mode
+    if args.setup == "all":
+        setups = list(SetupId)
+    elif args.setup is not None:
+        setups = [SetupId.parse(args.setup)]
+    else:
+        setups = [SetupId.of(model is not None, args.mode or MODIFIED)]
+    if model is None and any(setup.uses_model for setup in setups):
+        parser.error(f"--setup {args.setup} needs --checkpoint")
+    return model, setups
 
 
 def cmd_normalize(args, parser) -> int:
     dictionary = load_dictionary(args.dict)
     eq = _load_eq(args)
     digits = _load_digits(args)
-    model, mode = _resolve_model_mode(args, parser)
+    model, (setup,) = _load_setups(args, parser)
     words = _read_words(args)
-    outcomes = normalize_batch(words, dictionary, model, eq, mode, digits)
+    outcomes = normalize_batch(
+        words, dictionary, model if setup.uses_model else None, eq, setup.mode, digits
+    )
     for outcome in outcomes:
         if isinstance(outcome, BatchError):
             _emit(
-                {"type": "error", "index": outcome.index, "word": outcome.word,
-                 "message": outcome.message},
+                {"type": "error", **asdict(outcome)},
                 args.format,
                 f"error\t{outcome.word}\t{outcome.message}",
             )
             if args.fail_fast:
                 return 4
         else:
-            record = {
-                "type": "result",
-                "input": outcome.input,
-                "prenormalized": outcome.prenormalized,
-                "first_degree": outcome.first_degree,
-                "final": outcome.final,
-                "distance": outcome.distance,
-                "back_transliterations": list(outcome.back_transliterations),
-                "mode": outcome.mode,
-                "setup": outcome.setup,
-            }
             text = "\t".join(
                 [
                     outcome.input,
@@ -167,7 +153,7 @@ def cmd_normalize(args, parser) -> int:
                     ",".join(outcome.back_transliterations),
                 ]
             )
-            _emit(record, args.format, text)
+            _emit({"type": "result", **asdict(outcome)}, args.format, text)
     # without --fail-fast, per-word errors are data in the output stream
     return 0
 
@@ -189,16 +175,7 @@ def cmd_evaluate(args, parser) -> int:
     testset = load_test_set(args.testset)
     eq = _load_eq(args)
     digits = _load_digits(args)
-    model = load_checkpoint(args.checkpoint) if args.checkpoint is not None else None
-
-    if args.setup == "all":
-        setups = list(SetupId)
-    else:
-        setups = [SetupId.parse(args.setup)]
-    for setup in setups:
-        if setup.uses_model and model is None:
-            parser.error(f"--setup {'all' if args.setup == 'all' else args.setup} needs --checkpoint")
-
+    model, setups = _load_setups(args, parser)
     reports = [
         evaluate(testset, model, dictionary, eq, setup, digits) for setup in setups
     ]

@@ -1,8 +1,8 @@
 """Four-setup ablation evaluation and a seeded synthetic benchmark.
 
-The four setups cross the two pipeline switches: whether the first-degree
-model runs, and whether dictionary matching uses the standard or the
-class-modified edit distance.
+The four setups (pipeline.SetupId) cross the two pipeline switches: whether
+the first-degree model runs, and whether dictionary matching uses the
+standard or the class-modified edit distance.
 
 Because real transliteration corpora are not shipped, this module also
 generates a synthetic benchmark: pronounceable consonant-vowel words, a
@@ -13,55 +13,20 @@ phonetic misspellings the pipeline is meant to undo.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .lexicon import ParallelLexicon, TestSet, TransliterationDictionary
 from .matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
-    MODIFIED,
-    STANDARD,
     EquivalenceClasses,
     canonicalize,
     levenshtein,
 )
-from .pipeline import normalize
+from .pipeline import BatchError, SetupId, normalize_batch
 from .prenorm import prenormalize
 from .seq2seq import ModelParams
-
-
-class SetupId(enum.Enum):
-    """Ablation grid: (first-degree model?, matching distance)."""
-
-    SETUP_1 = "setup_1"  # no model, standard distance
-    SETUP_2 = "setup_2"  # no model, modified distance
-    SETUP_3 = "setup_3"  # model, standard distance
-    SETUP_4 = "setup_4"  # model, modified distance
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @property
-    def uses_model(self) -> bool:
-        return self in (SetupId.SETUP_3, SetupId.SETUP_4)
-
-    @property
-    def mode(self) -> str:
-        return STANDARD if self in (SetupId.SETUP_1, SetupId.SETUP_3) else MODIFIED
-
-    @classmethod
-    def parse(cls, text: str) -> "SetupId":
-        """Accept '1'..'4' or 'setup_1'..'setup_4'."""
-        name = text.strip().lower()
-        if name in {"1", "2", "3", "4"}:
-            name = f"setup_{name}"
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown setup {text!r} (expected 1-4 or setup_1..setup_4)")
 
 
 @dataclass(frozen=True)
@@ -143,16 +108,16 @@ def evaluate(
     if setup.uses_model and model is None:
         raise ValueError(f"{setup.label} applies the first-degree model but none was given")
     active_model = model if setup.uses_model else None
+    outcomes = normalize_batch(
+        [word for word, _ in testset.entries], dictionary, active_model, eq, setup.mode, digit_table
+    )
     exact = 0
     errors: list[ErrorRecord] = []
     failures: list[FailureRecord] = []
-    for index, (word, gold) in enumerate(testset.entries):
-        try:
-            result = normalize(word, dictionary, active_model, eq, setup.mode, digit_table)
-        except (ValueError, KeyError) as exc:
-            failures.append(FailureRecord(index=index, input=word, gold=gold, message=str(exc)))
-            continue
-        if result.final == gold:
+    for index, ((word, gold), outcome) in enumerate(zip(testset.entries, outcomes)):
+        if isinstance(outcome, BatchError):
+            failures.append(FailureRecord(index=index, input=word, gold=gold, message=outcome.message))
+        elif outcome.final == gold:
             exact += 1
         else:
             errors.append(
@@ -160,10 +125,10 @@ def evaluate(
                     index=index,
                     input=word,
                     gold=gold,
-                    prenormalized=result.prenormalized,
-                    first_degree=result.first_degree,
-                    final=result.final,
-                    distance=result.distance,
+                    prenormalized=outcome.prenormalized,
+                    first_degree=outcome.first_degree,
+                    final=outcome.final,
+                    distance=outcome.distance,
                     oov=gold not in dictionary.standard_set,
                 )
             )
@@ -182,29 +147,15 @@ def evaluate(
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready view of a report (plain scalars, lists and dicts only)."""
     return {
+        "type": "report",
         "setup": report.setup.label,
         "total": report.total,
         "exact_matches": report.exact_matches,
         "accuracy": report.accuracy,
         "oov_error_fraction": report.oov_error_fraction,
         "mean_oov_distance": report.mean_oov_distance,
-        "errors": [
-            {
-                "index": e.index,
-                "input": e.input,
-                "gold": e.gold,
-                "prenormalized": e.prenormalized,
-                "first_degree": e.first_degree,
-                "final": e.final,
-                "distance": e.distance,
-                "oov": e.oov,
-            }
-            for e in report.errors
-        ],
-        "failures": [
-            {"index": f.index, "input": f.input, "gold": f.gold, "message": f.message}
-            for f in report.failures
-        ],
+        "errors": [asdict(e) for e in report.errors],
+        "failures": [asdict(f) for f in report.failures],
     }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 
 class LexiconFormatError(ValueError):
@@ -52,27 +53,34 @@ def _write_pairs(entries, path) -> None:
             fh.write(f"{first}\t{second}\n")
 
 
-def _check_entries(entries, what: str) -> None:
-    for pos, (first, second) in enumerate(entries):
-        if not first or not second:
-            raise LexiconFormatError(f"{what} entry {pos} has an empty field")
-
-
 @dataclass(frozen=True)
-class ParallelLexicon:
+class _PairTable:
+    """Ordered two-column table; every field must be non-empty.
+
+    The three lexicon shapes below differ only in name and in what they
+    derive from the entries.
+    """
+
+    entries: tuple[tuple[str, str], ...]
+    kind: ClassVar[str]  # names the table in error messages
+
+    def __post_init__(self):
+        for pos, (first, second) in enumerate(self.entries):
+            if not first or not second:
+                raise LexiconFormatError(f"{self.kind} entry {pos} has an empty field")
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+class ParallelLexicon(_PairTable):
     """Ordered (source, target) training pairs.
 
     Duplicate pairs and repeated sources with different targets are kept;
     the variation is the point of the data.
     """
 
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        _check_entries(self.entries, "parallel lexicon")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    kind = "parallel lexicon"
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -83,17 +91,10 @@ class ParallelLexicon:
         return tuple(t for _, t in self.entries)
 
 
-@dataclass(frozen=True)
-class TransliterationDictionary:
+class TransliterationDictionary(_PairTable):
     """Ordered (native, standard) entries; order matches the source file."""
 
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        _check_entries(self.entries, "dictionary")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    kind = "dictionary"
 
     @cached_property
     def standards(self) -> tuple[str, ...]:
@@ -119,34 +120,26 @@ class TransliterationDictionary:
         return list(self._natives_by_standard.get(standard, ()))
 
 
-@dataclass(frozen=True)
-class TestSet:
+class TestSet(_PairTable):
     """Ordered (input, gold) evaluation pairs."""
 
     __test__ = False  # not a pytest class, despite the name
-
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        _check_entries(self.entries, "test set")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    kind = "test set"
 
 
 def load_parallel_lexicon(path) -> ParallelLexicon:
     """Load a parallel lexicon, preserving entry order and duplicates."""
-    return ParallelLexicon(_parse_pairs(path, "parallel lexicon"))
+    return ParallelLexicon(_parse_pairs(path, ParallelLexicon.kind))
 
 
 def load_dictionary(path) -> TransliterationDictionary:
     """Load a transliteration dictionary, preserving entry order."""
-    return TransliterationDictionary(_parse_pairs(path, "dictionary"))
+    return TransliterationDictionary(_parse_pairs(path, TransliterationDictionary.kind))
 
 
 def load_test_set(path) -> TestSet:
     """Load a test set of (input, gold) pairs."""
-    return TestSet(_parse_pairs(path, "test set"))
+    return TestSet(_parse_pairs(path, TestSet.kind))
 
 
 def reverse_lookup(dictionary: TransliterationDictionary, standard: str) -> list[str]:

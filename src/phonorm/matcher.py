@@ -6,9 +6,9 @@ more position-by-position character matches against the query (computed on
 the raw strings), then to the earlier dictionary entry.
 
 The modified distance treats configured character classes (default {a,o} and
-{b,v}) as identical, so substitutions inside a class are free. It is computed
-with its own class-aware dynamic program, but is contractually equal to the
-plain distance between the canonicalized strings.
+{b,v}) as identical, so substitutions inside a class are free. It is the
+plain distance between the canonicalized strings, computed by the same
+dynamic program.
 """
 
 from __future__ import annotations
@@ -100,22 +100,9 @@ def canonicalize(s: str, eq: EquivalenceClasses) -> str:
 def modified_levenshtein(a: str, b: str, eq: EquivalenceClasses) -> int:
     """Edit distance where characters within one equivalence class are identical.
 
-    Equal to levenshtein(canonicalize(a, eq), canonicalize(b, eq)); this
-    implementation folds the class lookup into the substitution cost instead
-    of rewriting the strings.
+    Defined as the standard distance between the canonicalized strings.
     """
-    rep = eq.representative_map
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        ra = rep.get(ca, ca)
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = ra != rep.get(cb, cb)
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    return levenshtein(canonicalize(a, eq), canonicalize(b, eq))
 
 
 def tie_break_score(query: str, candidate: str) -> int:

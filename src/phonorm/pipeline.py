@@ -8,25 +8,62 @@ the final answer; its native-script spellings come from reverse lookup.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from .lexicon import TransliterationDictionary
 from .matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
     MODIFIED,
+    STANDARD,
     EquivalenceClasses,
     best_match_pruned,
 )
 from .prenorm import prenormalize
 from .seq2seq import ModelParams, infer
 
-# (first degree applied?, matching mode) -> ablation setup label
-_SETUP_LABELS = {
-    (False, "standard"): "setup_1",
-    (False, "modified"): "setup_2",
-    (True, "standard"): "setup_3",
-    (True, "modified"): "setup_4",
-}
+
+class SetupId(enum.Enum):
+    """Ablation grid: (first-degree model?, matching distance).
+
+    The only mapping between a setup and its two pipeline switches.
+    """
+
+    SETUP_1 = "setup_1"  # no model, standard distance
+    SETUP_2 = "setup_2"  # no model, modified distance
+    SETUP_3 = "setup_3"  # model, standard distance
+    SETUP_4 = "setup_4"  # model, modified distance
+
+    @property
+    def label(self) -> str:
+        return self.value
+
+    @property
+    def uses_model(self) -> bool:
+        return self in (SetupId.SETUP_3, SetupId.SETUP_4)
+
+    @property
+    def mode(self) -> str:
+        return STANDARD if self in (SetupId.SETUP_1, SetupId.SETUP_3) else MODIFIED
+
+    @classmethod
+    def parse(cls, text: str) -> "SetupId":
+        """Accept '1'..'4' or 'setup_1'..'setup_4'."""
+        name = text.strip().lower()
+        if name in {"1", "2", "3", "4"}:
+            name = f"setup_{name}"
+        for member in cls:
+            if member.value == name:
+                return member
+        raise ValueError(f"unknown setup {text!r} (expected 1-4 or setup_1..setup_4)")
+
+    @classmethod
+    def of(cls, uses_model: bool, mode: str) -> "SetupId":
+        """The setup that runs (or skips) the first degree and matches under mode."""
+        for member in cls:
+            if member.uses_model == uses_model and member.mode == mode:
+                return member
+        raise ValueError(f"mode must be one of {(STANDARD, MODIFIED)}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +102,12 @@ def normalize(
     Without a model (the no-first-degree ablations) the matcher query is the
     pre-normalized word itself. If the model decodes to an empty string, the
     pre-normalized form is matched instead so the final answer is never
-    driven by degenerate decoder output.
+    driven by degenerate decoder output. A word that pre-normalizes to
+    nothing but whitespace has no answer and raises ValueError.
     """
     prenormalized = prenormalize(word, digit_table)
+    if not prenormalized.strip():
+        raise ValueError("empty word: nothing to normalize")
     if model is not None:
         first_degree = infer(model, prenormalized)
     else:
@@ -82,7 +122,7 @@ def normalize(
         distance=match.distance,
         back_transliterations=tuple(dictionary.reverse_lookup(match.matched_standard)),
         mode=mode,
-        setup=_SETUP_LABELS[(model is not None, mode)],
+        setup=SetupId.of(model is not None, mode).label,
     )
 
 

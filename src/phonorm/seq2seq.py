@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -119,6 +119,18 @@ def init_model_params(
         raise ValueError("max_len must be positive")
     shapes = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     tensors = {name: rng.uniform(-init_scale, init_scale, size=shape) for name, shape in shapes.items()}
+    return _assemble(source_alphabet, target_alphabet, max_len, hidden_dim, num_layers, tensors)
+
+
+def _assemble(
+    source_alphabet: Alphabet,
+    target_alphabet: Alphabet,
+    max_len: int,
+    hidden_dim: int,
+    num_layers: int,
+    tensors: dict[str, np.ndarray],
+) -> ModelParams:
+    """Group named tensors (as laid out by _expected_shapes) into ModelParams."""
 
     def layer(tag: str, index: int) -> LstmLayerParams:
         return LstmLayerParams(
@@ -469,17 +481,6 @@ class EpochRecord:
     val_exact_accuracy: float | None
 
 
-_TRACE_COLUMNS = (
-    "epoch",
-    "train_loss",
-    "train_char_accuracy",
-    "train_exact_accuracy",
-    "val_loss",
-    "val_char_accuracy",
-    "val_exact_accuracy",
-)
-
-
 @dataclass(frozen=True)
 class TrainingTrace:
     records: tuple[EpochRecord, ...]
@@ -492,9 +493,10 @@ class TrainingTrace:
         def fmt(value) -> str:
             return "" if value is None else repr(value)
 
-        lines = ["\t".join(_TRACE_COLUMNS)]
+        columns = [field.name for field in fields(EpochRecord)]
+        lines = ["\t".join(columns)]
         for rec in self.records:
-            lines.append("\t".join(fmt(getattr(rec, col)) for col in _TRACE_COLUMNS))
+            lines.append("\t".join(fmt(getattr(rec, col)) for col in columns))
         return "\n".join(lines) + "\n"
 
 
@@ -690,6 +692,11 @@ def load_checkpoint(path) -> ModelParams:
         manifest = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    if min(hidden_dim, num_layers, max_len) < 1:
+        raise CheckpointError(
+            f"{path}: hidden_dim, num_layers and max_len must be positive "
+            f"(got {hidden_dim}, {num_layers}, {max_len})"
+        )
 
     expected = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     if [name for name, _ in manifest] != list(expected):
@@ -711,22 +718,4 @@ def load_checkpoint(path) -> ModelParams:
         offset += nbytes
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after tensor data")
-
-    def layer(tag: str, index: int) -> LstmLayerParams:
-        return LstmLayerParams(
-            w_x=tensors[f"{tag}{index}.w_x"],
-            w_h=tensors[f"{tag}{index}.w_h"],
-            b=tensors[f"{tag}{index}.b"],
-        )
-
-    return ModelParams(
-        source_alphabet=source_alphabet,
-        target_alphabet=target_alphabet,
-        max_len=max_len,
-        hidden_dim=hidden_dim,
-        num_layers=num_layers,
-        encoder=tuple(layer("enc", i) for i in range(num_layers)),
-        decoder=tuple(layer("dec", i) for i in range(num_layers)),
-        w_out=tensors["out.w"],
-        b_out=tensors["out.b"],
-    )
+    return _assemble(source_alphabet, target_alphabet, max_len, hidden_dim, num_layers, tensors)

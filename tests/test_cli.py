@@ -255,6 +255,7 @@ def test_evaluate_single_setup_structured(workspace, capsys):
     assert code == 0
     records = [json.loads(line) for line in out.strip().split("\n")]
     assert len(records) == 1
+    assert records[0]["type"] == "report"
     assert records[0]["setup"] == "setup_2"
     assert records[0]["total"] == 3
     assert 0.0 <= records[0]["accuracy"] <= 1.0

@@ -6,7 +6,7 @@ import pytest
 
 from phonorm.lexicon import TransliterationDictionary
 from phonorm.matcher import MODIFIED, STANDARD
-from phonorm.pipeline import BatchError, NormalizationResult, normalize, normalize_batch
+from phonorm.pipeline import BatchError, NormalizationResult, SetupId, normalize, normalize_batch
 
 
 def make_dict(standards):
@@ -76,6 +76,25 @@ def test_setup_labels(zero_model, with_model, mode, setup):
     d = make_dict(["ab"])
     model = zero_model if with_model else None
     assert normalize("ab", d, model=model, mode=mode).setup == setup
+
+
+def test_setup_of_inverts_the_switches():
+    for setup in SetupId:
+        assert SetupId.of(setup.uses_model, setup.mode) is setup
+    with pytest.raises(ValueError, match="mode"):
+        SetupId.of(False, "bogus")
+    with pytest.raises(ValueError, match="mode"):
+        normalize("ab", make_dict(["ab"]), mode="bogus")
+
+
+def test_empty_or_blank_word_is_an_error():
+    d = make_dict(["tomu", "kala"])
+    for word in ("", "   ", "\t"):
+        with pytest.raises(ValueError, match="empty word"):
+            normalize(word, d)
+    batch = normalize_batch(["kala", "", "  "], d)
+    assert isinstance(batch[0], NormalizationResult)
+    assert [(b.index, b.word) for b in batch[1:]] == [(1, ""), (2, "  ")]
 
 
 def test_back_transliterations_preserve_dictionary_order():

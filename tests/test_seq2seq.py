@@ -3,12 +3,16 @@ training determinism, inference and checkpoints."""
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from phonorm.charcodec import SOURCE, TARGET, build_alphabet
 from phonorm.lexicon import ParallelLexicon
 from phonorm.seq2seq import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     LstmLayerParams,
     TrainingConfig,
@@ -21,6 +25,7 @@ from phonorm.seq2seq import (
     loss_and_gradients,
     lstm_step,
     prepare_batch,
+    _expected_shapes,
     save_checkpoint,
     train,
 )
@@ -258,6 +263,37 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
 
     path.write_bytes(data + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [{"max_len": 0}, {"max_len": -3}, {"hidden_dim": 0}, {"num_layers": 0}],
+)
+def test_checkpoint_rejects_nonpositive_dimensions(tmp_path, dims):
+    # rewrite a saved header so that everything but the dimension checks is
+    # consistent: the manifest and tensor bytes follow the new dimensions
+    params = tiny_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    data = path.read_bytes()
+    offset = len(CHECKPOINT_MAGIC) + 1
+    (header_len,) = struct.unpack_from("<Q", data, offset)
+    header = json.loads(data[offset + 8 : offset + 8 + header_len])
+    header.update(dims)
+    shapes = _expected_shapes(
+        params.source_alphabet.size,
+        params.target_alphabet.size,
+        header["hidden_dim"],
+        header["num_layers"],
+    )
+    header["tensors"] = [[name, list(shape)] for name, shape in shapes.items()]
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    count = sum(int(np.prod(shape)) for shape in shapes.values())
+    path.write_bytes(
+        CHECKPOINT_MAGIC + b"\n" + struct.pack("<Q", len(blob)) + blob + bytes(8 * count)
+    )
+    with pytest.raises(CheckpointError, match="must be positive"):
         load_checkpoint(path)
 
 
