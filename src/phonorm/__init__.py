@@ -6,7 +6,7 @@ encoder-decoder correction (first degree), and dictionary matching by
 lookup back to native script.
 """
 
-from .charcodec import Alphabet, EncodingError, build_alphabet, decode, encode, to_one_hot
+from .charcodec import Alphabet, EncodingError, build_alphabet, decode, encode
 from .evaluation import (
     EvalReport,
     NoiseModel,
@@ -97,7 +97,6 @@ __all__ = [
     "reverse_lookup",
     "save_checkpoint",
     "tie_break_score",
-    "to_one_hot",
     "train",
     "trim_elongation",
 ]

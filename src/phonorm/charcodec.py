@@ -2,9 +2,8 @@
 
 An Alphabet assigns dense indices to reserved markers plus the observed
 content characters. Words become fixed-length index sequences (right-padded),
-and index sequences become one-hot matrices. The target side wraps words in
-explicit start/end markers so the decoder has a begin symbol and a stop
-condition.
+which the model reads directly. The target side wraps words in explicit
+start/end markers so the decoder has a begin symbol and a stop condition.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 SOURCE = "source"
 TARGET = "target"
@@ -148,17 +145,6 @@ def encode(word: str, alphabet: Alphabet, max_len: int) -> EncodedSequence:
         indices = wrapped + [alphabet.pad_index] * pad
         mask = [True] * len(wrapped) + [False] * pad
     return EncodedSequence(indices=tuple(indices), mask=tuple(mask))
-
-
-def to_one_hot(encoded: EncodedSequence, alphabet: Alphabet) -> np.ndarray:
-    """One-hot matrix (sequence length x alphabet size), float64."""
-    n = len(encoded.indices)
-    out = np.zeros((n, alphabet.size), dtype=np.float64)
-    for row, index in enumerate(encoded.indices):
-        if not 0 <= index < alphabet.size:
-            raise EncodingError(f"index {index} out of range for alphabet of size {alphabet.size}")
-        out[row, index] = 1.0
-    return out
 
 
 def decode(indices: Sequence[int], alphabet: Alphabet) -> str:

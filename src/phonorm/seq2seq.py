@@ -21,14 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .charcodec import (
-    SOURCE,
-    TARGET,
-    Alphabet,
-    build_alphabet,
-    encode,
-    to_one_hot,
-)
+from .charcodec import SOURCE, TARGET, Alphabet, build_alphabet, encode
 from .lexicon import ParallelLexicon
 from .prenorm import prenormalize
 
@@ -174,9 +167,13 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def lstm_step(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmLayerParams
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Advance one time step for a batch: returns (h, c, cache)."""
+    """Advance one time step for a batch: returns (h, c, cache).
+
+    x is either a (batch,) vector of symbol indices, whose input projection is
+    the row gather w_x[x], or a dense (batch, input_dim) array.
+    """
     hdim = params.hidden_dim
-    z = x @ params.w_x + h_prev @ params.w_h + params.b
+    z = (params.w_x[x] if x.ndim == 1 else x @ params.w_x) + h_prev @ params.w_h + params.b
     i = _sigmoid(z[:, :hdim])
     f = _sigmoid(z[:, hdim : 2 * hdim])
     g = np.tanh(z[:, 2 * hdim : 3 * hdim])
@@ -190,12 +187,12 @@ def lstm_step(
 def _lstm_layer_forward(
     x_seq: np.ndarray, params: LstmLayerParams, h0: np.ndarray, c0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    batch, steps, _ = x_seq.shape
+    batch, steps = x_seq.shape[:2]
     h_seq = np.empty((batch, steps, params.hidden_dim))
     h, c = h0, c0
     caches = []
     for t in range(steps):
-        h, c, cache = lstm_step(x_seq[:, t, :], h, c, params)
+        h, c, cache = lstm_step(x_seq[:, t], h, c, params)
         h_seq[:, t, :] = h
         caches.append(cache)
     return h_seq, h, c, caches
@@ -207,21 +204,25 @@ def _lstm_layer_backward(
     d_h_final: np.ndarray,
     d_c_final: np.ndarray,
     params: LstmLayerParams,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None, np.ndarray, np.ndarray]:
     """Back-propagate one layer across time.
 
     d_h_seq carries the gradient flowing into every per-step output h_t from
     whatever consumed it (the layer above or the output projection);
     d_h_final / d_c_final carry extra gradient on the last states (used when
     they seeded a decoder layer). Returns the parameter gradients, the
-    gradient w.r.t. the input sequence and the gradients w.r.t. the initial
-    states.
+    gradient w.r.t. the input sequence (None for index inputs, which have
+    none) and the gradients w.r.t. the initial states.
     """
     batch, steps, _ = d_h_seq.shape
+    index_input = caches[0][0].ndim == 1
     dw_x = np.zeros_like(params.w_x)
     dw_h = np.zeros_like(params.w_h)
     db = np.zeros_like(params.b)
-    d_x_seq = np.empty((batch, steps, params.input_dim))
+    if index_input:
+        d_x_seq, dz_seq = None, np.empty((steps, batch, 4 * params.hidden_dim))
+    else:
+        d_x_seq = np.empty((batch, steps, params.input_dim))
     dh_next = d_h_final.copy()
     dc_next = d_c_final.copy()
     for t in reversed(range(steps)):
@@ -242,27 +243,38 @@ def _lstm_layer_backward(
             ],
             axis=1,
         )
-        dw_x += x.T @ dz
+        if index_input:
+            dz_seq[t] = dz
+        else:
+            dw_x += x.T @ dz
+            d_x_seq[:, t, :] = dz @ params.w_x.T
         dw_h += h_prev.T @ dz
         db += dz.sum(axis=0)
-        d_x_seq[:, t, :] = dz @ params.w_x.T
         dh_next = dz @ params.w_h.T
+    if index_input:
+        # w_x[x] was a row gather, so each symbol's row collects the dz rows
+        # of the positions that read it
+        symbols = np.stack([cache[0] for cache in caches])  # (steps, batch)
+        for symbol in np.unique(symbols):
+            dw_x[symbol] = dz_seq[symbols == symbol].sum(axis=0)
     return (dw_x, dw_h, db), d_x_seq, dh_next, dc_next
 
 
-def encode_sequence(
-    src_one_hot: np.ndarray, params: ModelParams
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run the encoder over a one-hot batch; returns per-layer final (h, c)."""
-    batch = src_one_hot.shape[0]
-    states = []
-    x = src_one_hot
+def _encode(params: ModelParams, src: np.ndarray) -> tuple[list, list[tuple[np.ndarray, np.ndarray]]]:
+    """Run the encoder stack from zero states; returns per-layer caches and final (h, c)."""
+    zeros = np.zeros((src.shape[0], params.hidden_dim))
+    caches, finals = [], []
+    x = src
     for layer in params.encoder:
-        h0 = np.zeros((batch, params.hidden_dim))
-        c0 = np.zeros((batch, params.hidden_dim))
-        x, h, c, _ = _lstm_layer_forward(x, layer, h0, c0)
-        states.append((h, c))
-    return states
+        x, h, c, layer_caches = _lstm_layer_forward(x, layer, zeros, zeros)
+        caches.append(layer_caches)
+        finals.append((h, c))
+    return caches, finals
+
+
+def encode_sequence(src: np.ndarray, params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run the encoder over a (batch, max_len) index batch; returns per-layer final (h, c)."""
+    return _encode(params, src)[1]
 
 
 def decode_step(
@@ -270,9 +282,9 @@ def decode_step(
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance the decoder one character.
 
-    x is the one-hot of the previously emitted symbol, shape
-    (batch, target_size); states holds (h, c) per layer. Returns the softmax
-    distribution over the next symbol and the advanced states.
+    x holds the index of the previously emitted symbol, shape (batch,);
+    states holds (h, c) per layer. Returns the softmax distribution over the
+    next symbol and the advanced states.
     """
     new_states = []
     inp = x
@@ -297,8 +309,8 @@ class Batch:
     padded positions contribute nothing to loss or gradients.
     """
 
-    src: np.ndarray  # (batch, max_len, source_size) one-hot
-    dec_in: np.ndarray  # (batch, max_len + 1, target_size) one-hot
+    src: np.ndarray  # (batch, max_len) int indices
+    dec_in: np.ndarray  # (batch, max_len + 1) int indices
     dec_tgt: np.ndarray  # (batch, max_len + 1) int indices
     mask: np.ndarray  # (batch, max_len + 1) bool
 
@@ -316,37 +328,15 @@ def prepare_batch(
     """Encode already pre-normalized (source, target) pairs for training."""
     if not pairs:
         raise ValueError("cannot build an empty batch")
-    src_rows = []
-    dec_in_rows = []
-    dec_tgt_rows = []
-    for source, target in pairs:
-        src = encode(source, source_alphabet, max_len)
-        tgt = encode(target, target_alphabet, max_len)
-        src_rows.append(to_one_hot(src, source_alphabet))
-        full = tgt.indices  # (start, chars..., end, pads...), length max_len + 2
-        dec_in_rows.append(full[:-1])
-        dec_tgt_rows.append(full[1:])
-    dec_in_idx = np.stack(dec_in_rows)
-    eye = np.eye(target_alphabet.size)
-    dec_tgt = np.stack(dec_tgt_rows)
-    return Batch(
-        src=np.stack(src_rows),
-        dec_in=eye[dec_in_idx],
-        dec_tgt=dec_tgt,
-        mask=dec_tgt != target_alphabet.pad_index,
-    )
+    src = np.array([encode(source, source_alphabet, max_len).indices for source, _ in pairs])
+    # (start, chars..., end, pads...), length max_len + 2
+    full = np.array([encode(target, target_alphabet, max_len).indices for _, target in pairs])
+    dec_tgt = full[:, 1:]
+    return Batch(src=src, dec_in=full[:, :-1], dec_tgt=dec_tgt, mask=dec_tgt != target_alphabet.pad_index)
 
 
 def _forward(params: ModelParams, batch: Batch):
-    batch_size = batch.size
-    zeros = lambda: np.zeros((batch_size, params.hidden_dim))  # noqa: E731
-    enc_caches = []
-    enc_finals = []
-    x = batch.src
-    for layer in params.encoder:
-        x, h, c, caches = _lstm_layer_forward(x, layer, zeros(), zeros())
-        enc_caches.append(caches)
-        enc_finals.append((h, c))
+    enc_caches, enc_finals = _encode(params, batch.src)
     x = batch.dec_in
     dec_caches = []
     for layer, (h0, c0) in zip(params.decoder, enc_finals):
@@ -418,22 +408,19 @@ def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
         "out.b": dlogits.sum(axis=(0, 1)),
     }
 
-    batch_size = batch.size
-    zeros = lambda: np.zeros((batch_size, params.hidden_dim))  # noqa: E731
-
+    zeros = np.zeros((batch.size, params.hidden_dim))
     d_above = dlogits @ params.w_out.T
     d_init: list[tuple[np.ndarray, np.ndarray]] = [None] * params.num_layers  # type: ignore[list-item]
     for index in reversed(range(params.num_layers)):
         (dw_x, dw_h, db), d_above, dh0, dc0 = _lstm_layer_backward(
-            dec_caches[index], d_above, zeros(), zeros(), params.decoder[index]
+            dec_caches[index], d_above, zeros, zeros, params.decoder[index]
         )
         grads[f"dec{index}.w_x"] = dw_x
         grads[f"dec{index}.w_h"] = dw_h
         grads[f"dec{index}.b"] = db
         d_init[index] = (dh0, dc0)
 
-    steps = batch.src.shape[1]
-    d_above = np.zeros((batch_size, steps, params.hidden_dim))
+    d_above = np.zeros((batch.size, batch.src.shape[1], params.hidden_dim))
     for index in reversed(range(params.num_layers)):
         dh_fin, dc_fin = d_init[index]
         (dw_x, dw_h, db), d_above, _, _ = _lstm_layer_backward(
@@ -610,18 +597,16 @@ def infer(params: ModelParams, word: str) -> str:
     capped at max_len characters so the result always re-encodes.
     """
     src = encode(word, params.source_alphabet, params.max_len)
-    states = encode_sequence(to_one_hot(src, params.source_alphabet)[None, :, :], params)
+    states = encode_sequence(np.array([src.indices]), params)
     target = params.target_alphabet
-    x = np.zeros((1, target.size))
-    x[0, target.start_index] = 1.0
+    x = np.array([target.start_index])
     out: list[str] = []
     for _ in range(params.max_len + 2):
         probs, states = decode_step(x, states, params)
         idx = int(np.argmax(probs[0]))
         if idx == target.end_index:
             break
-        x = np.zeros((1, target.size))
-        x[0, idx] = 1.0
+        x = np.array([idx])
         if target.is_content(idx):
             out.append(target.char_at(idx))
             if len(out) >= params.max_len:
@@ -714,6 +699,8 @@ def load_checkpoint(path) -> ModelParams:
         if len(data) < offset + nbytes:
             raise CheckpointError(f"{path}: truncated tensor data for {name}")
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(flat).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = flat.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(data):

@@ -12,7 +12,6 @@ from phonorm.charcodec import (
     build_alphabet,
     decode,
     encode,
-    to_one_hot,
 )
 
 
@@ -76,16 +75,6 @@ def test_encode_rejects_unknown_character():
     with pytest.raises(EncodingError) as err:
         encode("aëb", ab, max_len=5)
     assert "ë" in str(err.value)
-
-
-def test_one_hot_shape_and_rows():
-    ab = build_alphabet(["ab"], TARGET)
-    enc = encode("ab", ab, max_len=3)
-    hot = to_one_hot(enc, ab)
-    assert hot.shape == (5, ab.size)
-    assert hot.dtype == np.float64
-    assert np.array_equal(hot.sum(axis=1), np.ones(5))
-    assert np.array_equal(hot.argmax(axis=1), enc.indices)
 
 
 def test_decode_inverse_of_encode():

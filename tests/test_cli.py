@@ -7,7 +7,7 @@ import json
 import pytest
 
 from phonorm.cli import main
-from phonorm.seq2seq import load_checkpoint
+from phonorm.seq2seq import load_checkpoint, save_checkpoint
 
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
 LEXICON_WORDS = ["kala", "bodo", "gato", "kolo", "sela", "mibu", "lodi", "tabe"]
@@ -145,6 +145,21 @@ def test_normalize_with_checkpoint_uses_setup_4(workspace, capsys):
     )
     assert code == 0
     assert out.strip().split("\t")[5] == "setup_4"
+
+
+def test_normalize_non_finite_checkpoint_is_data_error(workspace, capsys, tmp_path):
+    params = load_checkpoint(workspace / "model.ckpt")
+    params.w_out[0, 0] = float("nan")
+    params.b_out[0] = float("inf")
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, params)
+    code, out, err = run(
+        capsys,
+        ["normalize", "kala", "--dict", str(workspace / "dict.tsv"), "--checkpoint", str(bad)],
+    )
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "out.w" in err
 
 
 def test_normalize_setup_and_mode_conflict(workspace):

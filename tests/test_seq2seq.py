@@ -75,12 +75,43 @@ def test_lstm_step_output_is_bounded():
         assert np.all(np.isfinite(c))
 
 
+def test_lstm_step_index_input_equals_one_hot_product():
+    rng = np.random.default_rng(7)
+    hidden, vocab = 5, 6
+    params = LstmLayerParams(
+        w_x=rng.uniform(-2, 2, (vocab, 4 * hidden)),
+        w_h=rng.uniform(-2, 2, (hidden, 4 * hidden)),
+        b=rng.uniform(-2, 2, 4 * hidden),
+    )
+    idx = np.array([0, 3, 5, 3, 1, 2, 4])
+    h_prev = rng.uniform(-1, 1, (idx.size, hidden))
+    c_prev = rng.uniform(-1, 1, (idx.size, hidden))
+    h, c, _ = lstm_step(idx, h_prev, c_prev, params)
+    h_ref, c_ref, _ = lstm_step(np.eye(vocab)[idx], h_prev, c_prev, params)
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(c, c_ref)
+
+
+def test_greedy_decodes_of_a_seeded_random_model_are_pinned():
+    # a large init scale keeps the decodes varied in symbols and length
+    source = build_alphabet(["abcdefghijklmnopqrstuvwxyz"], SOURCE)
+    target = build_alphabet(["abdegiklmnostu"], TARGET)
+    params = init_model_params(
+        source, target, max_len=8, hidden_dim=8, num_layers=2,
+        rng=np.random.default_rng(1), init_scale=3.0,
+    )
+    golden = {
+        "": "aasaba", "a": "asauaba", "kala": "ebauaba", "bodo": "asauaba",
+        "gato": "ebaababa", "mibu": "bkabas", "zzzz": "ubaauaba",
+        "abcdefgh": "ebakkk", "shanti": "asauas", "qwerty": "bk",
+    }
+    assert {word: infer(params, word) for word in golden} == golden
+
+
 def test_decode_step_is_a_distribution(zero_model):
     target = zero_model.target_alphabet
-    states = encode_sequence(np.zeros((1, zero_model.max_len, zero_model.source_alphabet.size)),
-                             zero_model)
-    x = np.zeros((1, target.size))
-    x[0, target.start_index] = 1.0
+    states = encode_sequence(np.zeros((1, zero_model.max_len), dtype=int), zero_model)
+    x = np.array([target.start_index])
     probs, new_states = decode_step(x, states, zero_model)
     assert probs.shape == (1, target.size)
     assert probs.min() > 0.0
@@ -94,11 +125,13 @@ def test_prepare_batch_layout():
     source = build_alphabet(["ab"], SOURCE)
     target = build_alphabet(["ab"], TARGET)
     batch = prepare_batch([("ab", "b")], source, target, max_len=4)
-    assert batch.src.shape == (1, 4, source.size)
-    assert batch.dec_in.shape == (1, 5, target.size)
+    assert batch.src.shape == (1, 4)
+    assert batch.dec_in.shape == (1, 5)
     assert batch.dec_tgt.shape == (1, 5)
+    assert all(np.issubdtype(a.dtype, np.integer) for a in (batch.src, batch.dec_in, batch.dec_tgt))
+    assert batch.src[0].tolist() == [source.index_of("a"), source.index_of("b"), 0, 0]
     # decoder input starts with the start marker
-    assert batch.dec_in[0, 0, target.start_index] == 1.0
+    assert batch.dec_in[0, 0] == target.start_index
     # real positions: one character plus the end marker
     assert batch.mask[0].tolist() == [True, True, False, False, False]
     assert batch.dec_tgt[0, 0] == target.index_of("b")
@@ -113,7 +146,7 @@ def test_batch_loss_matches_stepwise_decoding():
     states = encode_sequence(batch.src, params)
     probs_steps = []
     for t in range(batch.dec_in.shape[1]):
-        probs_t, states = decode_step(batch.dec_in[:, t, :], states, params)
+        probs_t, states = decode_step(batch.dec_in[:, t], states, params)
         probs_steps.append(probs_t)
     probs = np.stack(probs_steps, axis=1)
 
@@ -294,6 +327,16 @@ def test_checkpoint_rejects_nonpositive_dimensions(tmp_path, dims):
         CHECKPOINT_MAGIC + b"\n" + struct.pack("<Q", len(blob)) + blob + bytes(8 * count)
     )
     with pytest.raises(CheckpointError, match="must be positive"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value", [("out.w", np.nan), ("out.b", np.inf), ("enc0.w_x", -np.inf)])
+def test_checkpoint_rejects_non_finite_tensors(tmp_path, name, value):
+    params = tiny_params()
+    params.named_tensors()[name].flat[1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    with pytest.raises(CheckpointError, match=f"tensor {name} holds non-finite"):
         load_checkpoint(path)
 
 
