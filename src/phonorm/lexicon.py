@@ -105,19 +105,33 @@ class TransliterationDictionary(_PairTable):
         return frozenset(self.standards)
 
     @cached_property
+    def match_indexes(self) -> dict:
+        """Search indexes over the standards, one per canonicalization.
+
+        phonorm.matcher builds each on first use and keeps it here; the
+        entries are frozen, so an index never goes stale.
+        """
+        return {}
+
+    @cached_property
     def _natives_by_standard(self) -> dict[str, tuple[str, ...]]:
         by_standard: dict[str, list[str]] = {}
         for native, std in self.entries:
             by_standard.setdefault(std, []).append(native)
         return {std: tuple(natives) for std, natives in by_standard.items()}
 
-    def reverse_lookup(self, standard: str) -> list[str]:
+    def natives(self, standard: str) -> tuple[str, ...]:
         """All native forms whose standard transliteration equals `standard` exactly.
 
         Matching is case-sensitive; results come back in file order, and an
-        unknown standard yields an empty list.
+        unknown standard yields an empty tuple. The tuple is the dictionary's
+        own, so every caller shares it.
         """
-        return list(self._natives_by_standard.get(standard, ()))
+        return self._natives_by_standard.get(standard, ())
+
+    def reverse_lookup(self, standard: str) -> list[str]:
+        """natives(standard) as a new list."""
+        return list(self.natives(standard))
 
 
 class TestSet(_PairTable):

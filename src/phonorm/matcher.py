@@ -1,14 +1,22 @@
 """Dictionary matching by edit distance.
 
-The matcher scans every standard transliteration in the dictionary and keeps
-the entry with the least Levenshtein distance. Ties go to the candidate with
-more position-by-position character matches against the query (computed on
-the raw strings), then to the earlier dictionary entry.
+The answer is the dictionary entry with the least Levenshtein distance to the
+query. Ties go to the candidate with more position-by-position character
+matches against the query (computed on the raw strings), then to the earlier
+dictionary entry.
 
 The modified distance treats configured character classes (default {a,o} and
 {b,v}) as identical, so substitutions inside a class are free. It is the
 plain distance between the canonicalized strings, computed by the same
 dynamic program.
+
+best_match is the reference: it scans every standard with the pure-Python
+dynamic program. best_match_pruned returns the identical result. It answers a
+query equal to a standard from the dictionary's hash of its raw standards,
+and runs any other query through the same dynamic program over all
+canonicalized standards at once, one numpy step per query character, on an
+index built once per (dictionary, canonicalization) and kept on the
+dictionary.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .lexicon import TransliterationDictionary
 
@@ -56,6 +66,11 @@ class EquivalenceClasses:
         # representative = lowest code point in the class, deterministic
         return {ch: min(cls) for cls in self.classes for ch in cls}
 
+    @cached_property
+    def _translation(self) -> dict[int, str]:
+        """The str.translate table that maps every member to its representative."""
+        return str.maketrans(self.representative_map)
+
     def representative(self, ch: str) -> str:
         return self.representative_map.get(ch, ch)
 
@@ -93,8 +108,7 @@ def levenshtein(a: str, b: str) -> int:
 
 def canonicalize(s: str, eq: EquivalenceClasses) -> str:
     """Replace every character by its class representative."""
-    rep = eq.representative_map
-    return "".join(rep.get(ch, ch) for ch in s)
+    return s.translate(eq._translation)
 
 
 def modified_levenshtein(a: str, b: str, eq: EquivalenceClasses) -> int:
@@ -125,51 +139,15 @@ class MatchResult:
     mode: str
 
 
-def _distance_fn(mode: str, eq: EquivalenceClasses):
-    if mode == STANDARD:
-        return levenshtein
-    if mode == MODIFIED:
-        return lambda a, b: modified_levenshtein(a, b, eq)
-    raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _scan(query, dictionary, mode, eq, prune: bool) -> MatchResult:
+def _canonicalization(dictionary, mode: str, eq: EquivalenceClasses) -> EquivalenceClasses:
+    """The classes that mode matches under; raises for an empty dictionary or bad mode."""
     if len(dictionary) == 0:
         raise ValueError("cannot match against an empty dictionary")
-    dist = _distance_fn(mode, eq)
-    best_distance = None
-    best_score = -1
-    best_index = -1
-    best_standard = None
-    qlen = len(query)
-    for index, standard in enumerate(dictionary.standards):
-        if prune and best_distance is not None and abs(len(standard) - qlen) > best_distance:
-            # length gap is a lower bound on the distance, so this entry can
-            # neither win nor tie
-            continue
-        d = dist(query, standard)
-        if best_distance is None or d < best_distance:
-            best_distance = d
-            best_score = tie_break_score(query, standard)
-            best_index = index
-            best_standard = standard
-            if prune and d == 0 and best_score == qlen:
-                # exact raw hit; no later entry can beat distance 0 with a
-                # higher score, and equal ties lose on index
-                break
-        elif d == best_distance:
-            score = tie_break_score(query, standard)
-            if score > best_score:
-                best_score = score
-                best_index = index
-                best_standard = standard
-    return MatchResult(
-        matched_standard=best_standard,
-        distance=best_distance,
-        tie_break_score=best_score,
-        dictionary_index=best_index,
-        mode=mode,
-    )
+    if mode == STANDARD:
+        return NO_EQUIVALENCE
+    if mode == MODIFIED:
+        return eq
+    raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 def best_match(
@@ -179,7 +157,89 @@ def best_match(
     eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
 ) -> MatchResult:
     """Scan the whole dictionary and return the least-distance entry."""
-    return _scan(query, dictionary, mode, eq, prune=False)
+    eq = _canonicalization(dictionary, mode, eq)
+    canonical_query = canonicalize(query, eq)
+    best_distance = None
+    best_score = -1
+    best_index = -1
+    for index, standard in enumerate(dictionary.standards):
+        d = levenshtein(canonical_query, canonicalize(standard, eq))
+        if best_distance is None or d < best_distance:
+            best_distance = d
+            best_score = tie_break_score(query, standard)
+            best_index = index
+        elif d == best_distance:
+            score = tie_break_score(query, standard)
+            if score > best_score:
+                best_score = score
+                best_index = index
+    return MatchResult(
+        matched_standard=dictionary.standards[best_index],
+        distance=best_distance,
+        tie_break_score=best_score,
+        dictionary_index=best_index,
+        mode=mode,
+    )
+
+
+def _code_points(s: str) -> np.ndarray:
+    # surrogatepass: a lone surrogate (say, from an undecodable argv byte) is
+    # one code point like any other
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+class _Index:
+    """One dictionary's standards, prepared for matching under one canonicalization.
+
+    codes[k] holds the code points of canonicalized standard k, padded to
+    the longest standard; the padding is never read, because cell (i, j) of
+    the dynamic program reads codes[k, :j] only.
+    """
+
+    def __init__(self, standards: tuple[str, ...], eq: EquivalenceClasses):
+        n = len(standards)
+        lengths = np.array(list(map(len, standards)))
+        width = int(lengths.max())
+        # canonicalization keeps lengths, so padding first is the same
+        padded = canonicalize("".join(s.ljust(width) for s in standards), eq)
+        self.codes = _code_points(padded).reshape(n, width)
+        # flat position of D[k, len(standard k)] in the (n, width + 1) table
+        self.ends = np.arange(n) * (width + 1) + lengths
+
+    def distances(self, canonical_query: str) -> np.ndarray:
+        """Levenshtein distance from the query to every standard.
+
+        Wagner-Fischer with one row per standard: D[k, j] is the distance
+        from the query prefix read so far to the first j characters of
+        standard k, advanced one query character at a time. Along a row the
+        insertion term is a running minimum: D[k, j] = min over l <= j of
+        tmp[k, l] + (j - l).
+        """
+        n, width = self.codes.shape
+        longest = max(width, len(canonical_query)) + 1
+        dtype = np.int16 if longest <= np.iinfo(np.int16).max else np.int32
+        cols = np.arange(width + 1, dtype=dtype)
+        dist = np.tile(cols, (n, 1))  # D[k, j] = j for the empty prefix
+        tmp = np.empty_like(dist)
+        differs = np.empty(self.codes.shape, dtype=bool)
+        for i, code in enumerate(_code_points(canonical_query), start=1):
+            np.not_equal(self.codes, code, out=differs)
+            np.add(dist[:, :-1], differs, out=tmp[:, 1:], dtype=dtype)  # substitution
+            dist += 1
+            np.minimum(tmp[:, 1:], dist[:, 1:], out=tmp[:, 1:])  # deletion
+            tmp[:, 0] = i
+            tmp -= cols
+            np.minimum.accumulate(tmp, axis=1, out=dist)  # insertion
+            dist += cols
+        return dist.ravel()[self.ends]
+
+
+def _index(dictionary: TransliterationDictionary, eq: EquivalenceClasses) -> _Index:
+    indexes = dictionary.match_indexes
+    index = indexes.get(eq)
+    if index is None:
+        index = indexes[eq] = _Index(dictionary.standards, eq)
+    return index
 
 
 def best_match_pruned(
@@ -188,9 +248,29 @@ def best_match_pruned(
     mode: str = MODIFIED,
     eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
 ) -> MatchResult:
-    """best_match with length-filter pruning; returns the identical result.
+    """best_match from the dictionary's index; returns the identical result.
 
-    Entries whose length differs from the query by more than the best
-    distance seen so far are skipped without computing the distance.
+    A query equal to a standard returns that standard's first entry at
+    distance 0, as the scan would. Otherwise all distances come from one
+    vectorized pass, and ties among the closest entries are broken as in
+    the scan.
     """
-    return _scan(query, dictionary, mode, eq, prune=True)
+    eq = _canonicalization(dictionary, mode, eq)
+    standards = dictionary.standards
+    if dictionary.natives(query):
+        # an exact raw hit, known from the hash the dictionary keeps for
+        # reverse lookup; a second hash of every standard would cost memory
+        hit = standards.index(query)
+        return MatchResult(standards[hit], 0, len(query), hit, mode)
+    distances = _index(dictionary, eq).distances(canonicalize(query, eq))
+    best_distance = distances.min()
+    candidates = np.flatnonzero(distances == best_distance).tolist()
+    # max keeps the first, i.e. lowest-index, of equally scored candidates
+    best_index = max(candidates, key=lambda k: tie_break_score(query, standards[k]))
+    return MatchResult(
+        matched_standard=standards[best_index],
+        distance=int(best_distance),
+        tie_break_score=tie_break_score(query, standards[best_index]),
+        dictionary_index=best_index,
+        mode=mode,
+    )

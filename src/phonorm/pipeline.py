@@ -66,9 +66,13 @@ class SetupId(enum.Enum):
         raise ValueError(f"mode must be one of {(STANDARD, MODIFIED)}, got {mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizationResult:
-    """Every intermediate stage of normalizing one word."""
+    """Every intermediate stage of normalizing one word.
+
+    Slotted, and its strings and tuple are shared with the dictionary where
+    possible, because callers keep one result per word of their input.
+    """
 
     input: str
     prenormalized: str
@@ -120,7 +124,7 @@ def normalize(
         first_degree=first_degree,
         final=match.matched_standard,
         distance=match.distance,
-        back_transliterations=tuple(dictionary.reverse_lookup(match.matched_standard)),
+        back_transliterations=dictionary.natives(match.matched_standard),
         mode=mode,
         setup=SetupId.of(model is not None, mode).label,
     )

@@ -71,6 +71,10 @@ def test_dictionary_reverse_lookup_preserves_file_order(tmp_path):
     assert d.reverse_lookup("bhala") == ["ভালো"]
     assert d.reverse_lookup("missing") == []
     assert reverse_lookup(d, "kala") == ["কালো", "কলা"]
+    # natives is the same lookup as the dictionary's own tuple, shared by callers
+    assert d.natives("kala") == ("কালো", "কলা")
+    assert d.natives("kala") is d.natives("kala")
+    assert d.natives("missing") == ()
 
 
 def test_dictionary_standard_set():

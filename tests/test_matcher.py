@@ -23,6 +23,7 @@ from phonorm.matcher import (
     modified_levenshtein,
     tie_break_score,
 )
+from phonorm.pipeline import normalize
 
 
 def make_dict(standards):
@@ -186,10 +187,11 @@ def test_best_match_modes_differ_on_class_swaps():
 
 
 def test_best_match_rejects_empty_dictionary_and_bad_mode():
-    with pytest.raises(ValueError):
-        best_match("abc", TransliterationDictionary(entries=()))
-    with pytest.raises(ValueError):
-        best_match("abc", make_dict(["abc"]), mode="fuzzy")
+    for match in (best_match, best_match_pruned, normalize):
+        with pytest.raises(ValueError):
+            match("abc", TransliterationDictionary(entries=()))
+        with pytest.raises(ValueError):
+            match("abc", make_dict(["abc"]), mode="fuzzy")
 
 
 def test_pruned_scan_equals_full_scan():
@@ -203,6 +205,85 @@ def test_pruned_scan_equals_full_scan():
         query = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
         mode = MODIFIED if trial % 2 else STANDARD
         assert best_match_pruned(query, d, mode=mode) == best_match(query, d, mode=mode)
+
+
+def random_word(rng, alphabet, lo, hi):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+
+def test_indexed_search_equals_full_scan_on_random_dictionaries():
+    rng = random.Random(606)
+    alphabet = "aobvklsteéçকখ"
+    classes = [
+        DEFAULT_EQUIVALENCE_CLASSES,
+        NO_EQUIVALENCE,
+        EquivalenceClasses.from_strings(["kst"]),
+        EquivalenceClasses.from_strings(["eéç", "কখ"]),
+    ]
+    kinds = {"exact": 0, "tie": 0, "empty": 0, "one": 0, "far": 0}
+    for _ in range(60):
+        standards = [random_word(rng, alphabet, 1, 8) for _ in range(rng.randint(1, 40))]
+        standards += rng.choices(standards, k=rng.randint(0, 5))  # duplicates
+        rng.shuffle(standards)
+        d = make_dict(standards)
+        queries = [
+            rng.choice(standards),
+            "",
+            rng.choice(alphabet),
+            "xyzw" * rng.randint(1, 4),  # shares no character with any entry
+        ] + [random_word(rng, alphabet, 0, 10) for _ in range(8)]
+        for query in queries:
+            for mode in (STANDARD, MODIFIED):
+                eq = rng.choice(classes)
+                want = best_match(query, d, mode=mode, eq=eq)
+                assert best_match_pruned(query, d, mode=mode, eq=eq) == want
+                kinds["exact"] += query in standards
+                kinds["empty"] += query == ""
+                kinds["one"] += len(query) == 1
+                kinds["far"] += want.distance == max(len(query), len(want.matched_standard))
+                kinds["tie"] += sum(
+                    best_match(query, make_dict([s]), mode=mode, eq=eq).distance == want.distance
+                    and tie_break_score(query, s) == want.tie_break_score
+                    for s in standards
+                ) > 1
+    # every kind of query the index must get right was drawn
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_indexed_search_past_int16_distances():
+    # distances above 32767 overflow int16 rows, so the index must widen them
+    d = make_dict(["xyz", "bab"])
+    query = "ab" * 16390
+    result = best_match_pruned(query, d, mode=STANDARD)
+    assert result == best_match(query, d, mode=STANDARD)
+    assert result.distance == len(query) - 3
+
+
+def test_index_is_kept_per_canonicalization():
+    # the same query answers differently under each canonicalization, so an
+    # index reused under the wrong one gives a wrong answer
+    d = make_dict(["kol", "kal", "bal", "val", "kil"])
+    custom = EquivalenceClasses.from_strings(["ik"])
+    equal_custom = EquivalenceClasses.from_strings(["ki"])
+    settings = [
+        (MODIFIED, DEFAULT_EQUIVALENCE_CLASSES),
+        (STANDARD, DEFAULT_EQUIVALENCE_CLASSES),
+        (MODIFIED, NO_EQUIVALENCE),
+        (MODIFIED, custom),
+        (STANDARD, custom),
+        (MODIFIED, equal_custom),
+    ]
+    for query in ("vol", "kal", "ial", "iol", "val", "bil"):
+        for mode, eq in settings + settings[::-1]:
+            assert best_match_pruned(query, d, mode=mode, eq=eq) == best_match(
+                query, d, mode=mode, eq=eq
+            ), (query, mode, eq)
+    # the settings do disagree on these queries
+    assert best_match("vol", d, mode=MODIFIED).distance == 0
+    assert best_match("vol", d, mode=STANDARD).distance == 1
+    assert best_match("vol", d, mode=MODIFIED, eq=NO_EQUIVALENCE).distance == 1
+    assert best_match("ial", d, mode=MODIFIED).distance == 1
+    assert best_match("ial", d, mode=MODIFIED, eq=custom).distance == 0
 
 
 def test_load_equivalence_classes(tmp_path):
