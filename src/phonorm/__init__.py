@@ -11,7 +11,6 @@ from .evaluation import (
     EvalReport,
     NoiseModel,
     SyntheticBenchmark,
-    error_analysis,
     evaluate,
     generate_benchmark,
 )
@@ -23,7 +22,6 @@ from .lexicon import (
     load_dictionary,
     load_parallel_lexicon,
     load_test_set,
-    reverse_lookup,
 )
 from .matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
@@ -80,7 +78,6 @@ __all__ = [
     "canonicalize",
     "decode",
     "encode",
-    "error_analysis",
     "evaluate",
     "expand_digits",
     "generate_benchmark",
@@ -94,7 +91,6 @@ __all__ = [
     "normalize",
     "normalize_batch",
     "prenormalize",
-    "reverse_lookup",
     "save_checkpoint",
     "tie_break_score",
     "train",

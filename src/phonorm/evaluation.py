@@ -69,6 +69,12 @@ class EvalReport:
 
 
 def _analyze(errors, dictionary: TransliterationDictionary) -> tuple[float, float]:
+    """Split errors into out-of-vocabulary vs model deviations.
+
+    Returns (fraction of errors whose gold is missing from the dictionary,
+    mean standard edit distance between the first-degree output and the gold
+    over those OOV errors). No errors, or none OOV, yields (0.0, 0.0).
+    """
     if not errors:
         return 0.0, 0.0
     oov = [e for e in errors if e.gold not in dictionary.standard_set]
@@ -76,16 +82,6 @@ def _analyze(errors, dictionary: TransliterationDictionary) -> tuple[float, floa
         return 0.0, 0.0
     mean = sum(levenshtein(e.first_degree, e.gold) for e in oov) / len(oov)
     return len(oov) / len(errors), mean
-
-
-def error_analysis(report: EvalReport, dictionary: TransliterationDictionary) -> tuple[float, float]:
-    """Split errors into out-of-vocabulary vs model deviations.
-
-    Returns (fraction of errors whose gold is missing from the dictionary,
-    mean standard edit distance between the first-degree output and the gold
-    over those OOV errors). No errors, or none OOV, yields (0.0, 0.0).
-    """
-    return _analyze(report.errors, dictionary)
 
 
 def evaluate(

@@ -156,11 +156,6 @@ def load_test_set(path) -> TestSet:
     return TestSet(_parse_pairs(path, TestSet.kind))
 
 
-def reverse_lookup(dictionary: TransliterationDictionary, standard: str) -> list[str]:
-    """Module-level alias for TransliterationDictionary.reverse_lookup."""
-    return dictionary.reverse_lookup(standard)
-
-
 def save_parallel_lexicon(lexicon: ParallelLexicon, path) -> None:
     _write_pairs(lexicon.entries, path)
 

@@ -17,7 +17,7 @@ import json
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,6 +110,8 @@ def init_model_params(
         raise ValueError("need at least one layer")
     if max_len < 1:
         raise ValueError("max_len must be positive")
+    if hidden_dim < 1:
+        raise ValueError("hidden_dim must be positive")
     shapes = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     tensors = {name: rng.uniform(-init_scale, init_scale, size=shape) for name, shape in shapes.items()}
     return _assemble(source_alphabet, target_alphabet, max_len, hidden_dim, num_layers, tensors)
@@ -210,54 +212,44 @@ def _lstm_layer_backward(
     d_h_seq carries the gradient flowing into every per-step output h_t from
     whatever consumed it (the layer above or the output projection);
     d_h_final / d_c_final carry extra gradient on the last states (used when
-    they seeded a decoder layer). Returns the parameter gradients, the
-    gradient w.r.t. the input sequence (None for index inputs, which have
-    none) and the gradients w.r.t. the initial states.
+    they seeded a decoder layer). The time loop runs only the recurrence: it
+    stores each step's pre-activation gradient dz and carries dh and dc back.
+    The parameter gradients and the input gradient are then one product each
+    over all steps at once. Returns the parameter gradients, the gradient
+    w.r.t. the input sequence (None for index inputs, which have none) and
+    the gradients w.r.t. the initial states.
     """
     batch, steps, _ = d_h_seq.shape
-    index_input = caches[0][0].ndim == 1
-    dw_x = np.zeros_like(params.w_x)
-    dw_h = np.zeros_like(params.w_h)
-    db = np.zeros_like(params.b)
-    if index_input:
-        d_x_seq, dz_seq = None, np.empty((steps, batch, 4 * params.hidden_dim))
-    else:
-        d_x_seq = np.empty((batch, steps, params.input_dim))
-    dh_next = d_h_final.copy()
-    dc_next = d_c_final.copy()
+    hdim = params.hidden_dim
+    dz_seq = np.empty((steps, batch, 4 * hdim))
+    dh, dc = d_h_final, d_c_final
     for t in reversed(range(steps)):
-        x, h_prev, c_prev, i, f, g, o, tc = caches[t]
-        dh = d_h_seq[:, t, :] + dh_next
-        do = dh * tc
-        dct = dc_next + dh * o * (1.0 - tc * tc)
-        di = dct * g
-        dg = dct * i
-        df = dct * c_prev
-        dc_next = dct * f
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        if index_input:
-            dz_seq[t] = dz
-        else:
-            dw_x += x.T @ dz
-            d_x_seq[:, t, :] = dz @ params.w_x.T
-        dw_h += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dh_next = dz @ params.w_h.T
-    if index_input:
+        _, _, c_prev, i, f, g, o, tc = caches[t]
+        dh = d_h_seq[:, t, :] + dh
+        dct = dc + dh * o * (1.0 - tc * tc)
+        dz = dz_seq[t]
+        dz[:, :hdim] = dct * g * i * (1.0 - i)
+        dz[:, hdim : 2 * hdim] = dct * c_prev * f * (1.0 - f)
+        dz[:, 2 * hdim : 3 * hdim] = dct * i * (1.0 - g * g)
+        dz[:, 3 * hdim :] = dh * tc * o * (1.0 - o)
+        dh = dz @ params.w_h.T
+        dc = dct * f
+
+    dz_all = dz_seq.reshape(steps * batch, 4 * hdim)
+    h_prev = np.stack([cache[1] for cache in caches]).reshape(steps * batch, hdim)
+    dw_h = h_prev.T @ dz_all
+    db = dz_all.sum(axis=0)
+    x_seq = np.stack([cache[0] for cache in caches])  # (steps, batch) or (steps, batch, input_dim)
+    if x_seq.ndim == 2:
         # w_x[x] was a row gather, so each symbol's row collects the dz rows
         # of the positions that read it
-        symbols = np.stack([cache[0] for cache in caches])  # (steps, batch)
-        for symbol in np.unique(symbols):
-            dw_x[symbol] = dz_seq[symbols == symbol].sum(axis=0)
-    return (dw_x, dw_h, db), d_x_seq, dh_next, dc_next
+        dw_x = np.zeros_like(params.w_x)
+        for symbol in np.unique(x_seq):
+            dw_x[symbol] = dz_seq[x_seq == symbol].sum(axis=0)
+        return (dw_x, dw_h, db), None, dh, dc
+    dw_x = x_seq.reshape(steps * batch, -1).T @ dz_all
+    d_x_seq = (dz_seq @ params.w_x.T).transpose(1, 0, 2)
+    return (dw_x, dw_h, db), d_x_seq, dh, dc
 
 
 def _encode(params: ModelParams, src: np.ndarray) -> tuple[list, list[tuple[np.ndarray, np.ndarray]]]:
@@ -408,27 +400,23 @@ def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
         "out.b": dlogits.sum(axis=(0, 1)),
     }
 
+    # the decoder's final states feed nothing; its initial-state gradients are
+    # the encoder's final-state gradients
     zeros = np.zeros((batch.size, params.hidden_dim))
-    d_above = dlogits @ params.w_out.T
-    d_init: list[tuple[np.ndarray, np.ndarray]] = [None] * params.num_layers  # type: ignore[list-item]
-    for index in reversed(range(params.num_layers)):
-        (dw_x, dw_h, db), d_above, dh0, dc0 = _lstm_layer_backward(
-            dec_caches[index], d_above, zeros, zeros, params.decoder[index]
-        )
-        grads[f"dec{index}.w_x"] = dw_x
-        grads[f"dec{index}.w_h"] = dw_h
-        grads[f"dec{index}.b"] = db
-        d_init[index] = (dh0, dc0)
-
-    d_above = np.zeros((batch.size, batch.src.shape[1], params.hidden_dim))
-    for index in reversed(range(params.num_layers)):
-        dh_fin, dc_fin = d_init[index]
-        (dw_x, dw_h, db), d_above, _, _ = _lstm_layer_backward(
-            enc_caches[index], d_above, dh_fin, dc_fin, params.encoder[index]
-        )
-        grads[f"enc{index}.w_x"] = dw_x
-        grads[f"enc{index}.w_h"] = dw_h
-        grads[f"enc{index}.b"] = db
+    d_h = [zeros] * params.num_layers
+    d_c = [zeros] * params.num_layers
+    stacks = (
+        ("dec", params.decoder, dec_caches, dlogits @ params.w_out.T),
+        ("enc", params.encoder, enc_caches, np.zeros((batch.size, batch.src.shape[1], params.hidden_dim))),
+    )
+    for tag, layers, caches, d_above in stacks:
+        for index in reversed(range(params.num_layers)):
+            (dw_x, dw_h, db), d_above, d_h[index], d_c[index] = _lstm_layer_backward(
+                caches[index], d_above, d_h[index], d_c[index], layers[index]
+            )
+            grads[f"{tag}{index}.w_x"] = dw_x
+            grads[f"{tag}{index}.w_h"] = dw_h
+            grads[f"{tag}{index}.b"] = db
 
     return BatchResult(loss=metrics.loss, grads=grads, metrics=metrics)
 
@@ -487,11 +475,6 @@ class TrainingTrace:
         return "\n".join(lines) + "\n"
 
 
-def _batches(count: int, batch_size: int) -> Iterable[tuple[int, int]]:
-    for start in range(0, count, batch_size):
-        yield start, min(start + batch_size, count)
-
-
 def train(
     lexicon: ParallelLexicon,
     config: TrainingConfig = TrainingConfig(),
@@ -506,6 +489,10 @@ def train(
     and the initial weights all come from one seeded generator, so a given
     (lexicon, config) always yields the same model.
     """
+    if config.epochs < 1:
+        raise ValueError("epochs must be positive")
+    if config.batch_size < 1:
+        raise ValueError("batch_size must be positive")
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
     if not pairs:
         raise ValueError("training lexicon is empty")
@@ -547,8 +534,8 @@ def train(
         order = rng.permutation(len(train_pairs))
         nll_sum = 0.0
         tok_hit = tok_n = seq_hit = seq_n = 0
-        for start, stop in _batches(len(train_pairs), config.batch_size):
-            chunk = [train_pairs[i] for i in order[start:stop]]
+        for start in range(0, len(train_pairs), config.batch_size):
+            chunk = [train_pairs[i] for i in order[start : start + config.batch_size]]
             batch = prepare_batch(chunk, source_alphabet, target_alphabet, max_len)
             result = loss_and_gradients(params, batch)
             m = result.metrics
@@ -661,6 +648,8 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(data[offset : offset + header_len].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed header (not a JSON object)")
     offset += header_len
 
     version = header.get("version")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
 from phonorm.cli import main
-from phonorm.seq2seq import load_checkpoint, save_checkpoint
+from phonorm.seq2seq import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
 LEXICON_WORDS = ["kala", "bodo", "gato", "kolo", "sela", "mibu", "lodi", "tabe"]
@@ -167,6 +168,38 @@ def test_normalize_setup_and_mode_conflict(workspace):
         main(["normalize", "x", "--dict", str(workspace / "dict.tsv"),
               "--setup", "2", "--mode", "standard"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
+     ("--batch-size", "0", "batch_size"), ("--hidden-dim", "0", "hidden_dim")],
+)
+def test_train_rejects_unrunnable_config_before_writing(workspace, capsys, tmp_path, flag, value, field):
+    checkpoint = tmp_path / "m.ckpt"
+    code, out, err = run(
+        capsys,
+        ["train", "--lexicon", str(workspace / "lexicon.tsv"), "--checkpoint", str(checkpoint),
+         "--epochs", "1", "--hidden-dim", "8", "--batch-size", "4", flag, value],
+    )
+    assert code == 4
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("header", [b"[]", b"null", b'"v1"'])
+def test_normalize_checkpoint_header_not_an_object_is_data_error(workspace, capsys, tmp_path, header):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CHECKPOINT_MAGIC + b"\n" + struct.pack("<Q", len(header)) + header)
+    code, out, err = run(
+        capsys,
+        ["normalize", "kala", "--dict", str(workspace / "dict.tsv"), "--checkpoint", str(bad)],
+    )
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "malformed header" in err
 
 
 def test_normalize_model_setup_requires_checkpoint(workspace):

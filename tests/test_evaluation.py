@@ -9,7 +9,6 @@ from phonorm.evaluation import (
     NoiseModel,
     SetupId,
     corrupt,
-    error_analysis,
     evaluate,
     format_report_table,
     generate_benchmark,
@@ -76,7 +75,6 @@ def test_evaluate_counts_errors_and_oov():
     # half the errors are OOV; that error is one edit from its gold
     assert report.oov_error_fraction == 0.5
     assert report.mean_oov_distance == 1.0
-    assert error_analysis(report, d) == (0.5, 1.0)
 
 
 def test_evaluate_perfect_run_has_empty_analysis():

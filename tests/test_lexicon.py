@@ -8,7 +8,6 @@ from phonorm.lexicon import (
     load_dictionary,
     load_parallel_lexicon,
     load_test_set,
-    reverse_lookup,
     save_dictionary,
     save_parallel_lexicon,
     save_test_set,
@@ -70,7 +69,6 @@ def test_dictionary_reverse_lookup_preserves_file_order(tmp_path):
     assert d.reverse_lookup("kala") == ["কালো", "কলা"]
     assert d.reverse_lookup("bhala") == ["ভালো"]
     assert d.reverse_lookup("missing") == []
-    assert reverse_lookup(d, "kala") == ["কালো", "কলা"]
     # natives is the same lookup as the dictionary's own tuple, shared by callers
     assert d.natives("kala") == ("কালো", "কলা")
     assert d.natives("kala") is d.natives("kala")
