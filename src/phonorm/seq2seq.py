@@ -49,10 +49,6 @@ class LstmLayerParams:
     def hidden_dim(self) -> int:
         return self.w_h.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[0]
-
 
 @dataclass(eq=False)
 class ModelParams:
