@@ -251,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lexicon", required=True, help="noisy<TAB>standard training pairs")
     p_train.add_argument("--checkpoint", required=True, help="where to write the trained model")
     p_train.add_argument("--trace", help="per-epoch TSV path (default: <checkpoint>.trace.tsv)")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--epochs", type=int, default=100)
-    p_train.add_argument("--batch-size", type=int, default=64)
-    p_train.add_argument("--hidden-dim", type=int, default=128)
-    p_train.add_argument("--lr", type=float, default=0.001)
-    p_train.add_argument("--layers", type=int, default=2)
-    p_train.add_argument("--validation-fraction", type=float, default=0.1)
+    p_train.add_argument("--seed", type=int, default=TrainingConfig.rng_seed)
+    p_train.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
+    p_train.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
+    p_train.add_argument("--hidden-dim", type=int, default=TrainingConfig.hidden_dim)
+    p_train.add_argument("--lr", type=float, default=TrainingConfig.learning_rate)
+    p_train.add_argument("--layers", type=int, default=TrainingConfig.num_layers)
+    p_train.add_argument("--validation-fraction", type=float, default=TrainingConfig.validation_fraction)
     add_common(p_train)
 
     p_norm = sub.add_parser("normalize", help="normalize words against a dictionary")

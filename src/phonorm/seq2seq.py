@@ -148,12 +148,10 @@ def _assemble(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -306,6 +304,11 @@ class Batch:
     def size(self) -> int:
         return self.src.shape[0]
 
+    def rows(self, index) -> Batch:
+        """The batch of the pairs at index (a slice or an index array)."""
+        return Batch(src=self.src[index], dec_in=self.dec_in[index],
+                     dec_tgt=self.dec_tgt[index], mask=self.mask[index])
+
 
 def prepare_batch(
     pairs: Sequence[tuple[str, str]],
@@ -337,13 +340,24 @@ def _forward(params: ModelParams, batch: Batch):
 
 @dataclass(eq=False)
 class BatchMetrics:
-    """Teacher-forced metrics over one batch (all masked-position based)."""
+    """Teacher-forced metrics over one batch or, added up, over several.
 
-    loss: float
+    All counts are over masked (real) target positions. loss_sum is a
+    batch's mean loss times its token count, summed over the batches.
+    """
+
+    loss_sum: float
     token_correct: int
     token_total: int
     seq_correct: int
     seq_total: int
+
+    @property
+    def loss(self) -> float:
+        return self.loss_sum / self.token_total
+
+    def __add__(self, other: BatchMetrics) -> BatchMetrics:
+        return BatchMetrics(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 def _masked_metrics(probs: np.ndarray, batch: Batch) -> BatchMetrics:
@@ -355,7 +369,7 @@ def _masked_metrics(probs: np.ndarray, batch: Batch) -> BatchMetrics:
     correct = int(hit[rows, cols].sum())
     seq_correct = int((hit | ~batch.mask).all(axis=1).sum())
     return BatchMetrics(
-        loss=loss,
+        loss_sum=loss * total,
         token_correct=correct,
         token_total=total,
         seq_correct=seq_correct,
@@ -371,7 +385,6 @@ def batch_loss(params: ModelParams, batch: Batch) -> BatchMetrics:
 
 @dataclass(eq=False)
 class BatchResult:
-    loss: float
     grads: dict[str, np.ndarray]
     metrics: BatchMetrics
 
@@ -414,7 +427,7 @@ def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
             grads[f"{tag}{index}.w_h"] = dw_h
             grads[f"{tag}{index}.b"] = db
 
-    return BatchResult(loss=metrics.loss, grads=grads, metrics=metrics)
+    return BatchResult(grads=grads, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +441,13 @@ class TrainingConfig:
     batch_size: int = 64
     epochs: int = 100
     learning_rate: float = 0.001
-    rho: float = 0.9
-    epsilon: float = 1e-8
-    init_scale: float = 0.08
     validation_fraction: float = 0.1
     rng_seed: int = 0
+
+
+# rmsprop: decay of the mean squared gradient, and the step denominator's floor
+RMSPROP_RHO = 0.9
+RMSPROP_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -450,6 +465,13 @@ class EpochRecord:
     val_loss: float | None
     val_char_accuracy: float | None
     val_exact_accuracy: float | None
+
+
+def _columns(m: BatchMetrics | None) -> tuple:
+    """An EpochRecord's loss, char and exact accuracy columns for one split."""
+    if m is None:
+        return None, None, None
+    return m.loss, m.token_correct / m.token_total, m.seq_correct / m.seq_total
 
 
 @dataclass(frozen=True)
@@ -489,6 +511,8 @@ def train(
         raise ValueError("epochs must be positive")
     if config.batch_size < 1:
         raise ValueError("batch_size must be positive")
+    if not 0.0 <= config.validation_fraction < 1.0:
+        raise ValueError("validation_fraction must be in [0, 1)")
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
     if not pairs:
         raise ValueError("training lexicon is empty")
@@ -502,66 +526,36 @@ def train(
 
     rng = np.random.default_rng(config.rng_seed)
     params = init_model_params(
-        source_alphabet,
-        target_alphabet,
-        max_len,
-        config.hidden_dim,
-        config.num_layers,
-        rng,
-        config.init_scale,
+        source_alphabet, target_alphabet, max_len, config.hidden_dim, config.num_layers, rng
     )
 
     perm = rng.permutation(len(pairs))
     n_val = int(round(len(pairs) * config.validation_fraction))
-    if config.validation_fraction > 0 and len(pairs) - n_val < 1:
+    if n_val >= len(pairs):
         raise ValueError("validation split leaves no training data")
-    val_pairs = [pairs[i] for i in perm[:n_val]]
-    train_pairs = [pairs[i] for i in perm[n_val:]]
-
-    val_batch = (
-        prepare_batch(val_pairs, source_alphabet, target_alphabet, max_len) if val_pairs else None
-    )
+    # every pair encoded once, in perm order: validation rows first
+    encoded = prepare_batch([pairs[i] for i in perm], source_alphabet, target_alphabet, max_len)
+    val_batch = encoded.rows(slice(None, n_val)) if n_val else None
+    train_batch = encoded.rows(slice(n_val, None))
 
     tensors = params.named_tensors()
     rms_cache = {name: np.zeros_like(arr) for name, arr in tensors.items()}
 
     records = []
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_pairs))
-        nll_sum = 0.0
-        tok_hit = tok_n = seq_hit = seq_n = 0
-        for start in range(0, len(train_pairs), config.batch_size):
-            chunk = [train_pairs[i] for i in order[start : start + config.batch_size]]
-            batch = prepare_batch(chunk, source_alphabet, target_alphabet, max_len)
-            result = loss_and_gradients(params, batch)
-            m = result.metrics
-            nll_sum += m.loss * m.token_total
-            tok_hit += m.token_correct
-            tok_n += m.token_total
-            seq_hit += m.seq_correct
-            seq_n += m.seq_total
+        order = rng.permutation(train_batch.size)
+        seen = BatchMetrics(0.0, 0, 0, 0, 0)
+        for start in range(0, train_batch.size, config.batch_size):
+            result = loss_and_gradients(params, train_batch.rows(order[start : start + config.batch_size]))
+            seen += result.metrics
             for name, tensor in tensors.items():
                 grad = result.grads[name]
                 cache = rms_cache[name]
-                cache *= config.rho
-                cache += (1.0 - config.rho) * grad * grad
-                tensor -= config.learning_rate * grad / (np.sqrt(cache) + config.epsilon)
-        if val_batch is not None:
-            vm = batch_loss(params, val_batch)
-            val_loss = vm.loss
-            val_char = vm.token_correct / vm.token_total
-            val_exact = vm.seq_correct / vm.seq_total
-        else:
-            val_loss = val_char = val_exact = None
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=nll_sum / tok_n,
-            train_char_accuracy=tok_hit / tok_n,
-            train_exact_accuracy=seq_hit / seq_n,
-            val_loss=val_loss,
-            val_char_accuracy=val_char,
-            val_exact_accuracy=val_exact,
-        )
+                cache *= RMSPROP_RHO
+                cache += (1.0 - RMSPROP_RHO) * grad * grad
+                tensor -= config.learning_rate * grad / (np.sqrt(cache) + RMSPROP_EPSILON)
+        val = batch_loss(params, val_batch) if val_batch is not None else None
+        record = EpochRecord(epoch, *_columns(seen), *_columns(val))
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)

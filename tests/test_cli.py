@@ -173,7 +173,8 @@ def test_normalize_setup_and_mode_conflict(workspace):
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
-     ("--batch-size", "0", "batch_size"), ("--hidden-dim", "0", "hidden_dim")],
+     ("--batch-size", "0", "batch_size"), ("--hidden-dim", "0", "hidden_dim"),
+     ("--validation-fraction", "-0.5", "validation_fraction")],
 )
 def test_train_rejects_unrunnable_config_before_writing(workspace, capsys, tmp_path, flag, value, field):
     checkpoint = tmp_path / "m.ckpt"

@@ -26,6 +26,7 @@ from phonorm.seq2seq import (
     lstm_step,
     prepare_batch,
     _expected_shapes,
+    _sigmoid,
     save_checkpoint,
     train,
 )
@@ -217,6 +218,38 @@ def test_train_without_validation_leaves_blank_columns():
     assert trace.final.val_loss is None
     row = trace.to_tsv().strip().split("\n")[1].split("\t")
     assert row[4] == "" and row[5] == "" and row[6] == ""
+
+
+def test_train_batch_larger_than_split_is_one_batch():
+    # 9 training pairs: batch_size 9 takes them all, and a batch 10x larger
+    # gathers past the end of the split and must take exactly the same rows
+    runs = [train(small_lexicon(), TrainingConfig(hidden_dim=8, epochs=3, batch_size=size,
+                                                  validation_fraction=0.25, rng_seed=5))
+            for size in (9, 90)]
+    (params_a, trace_a), (params_b, trace_b) = runs
+    assert trace_a.to_tsv() == trace_b.to_tsv()
+    for name, tensor in params_a.named_tensors().items():
+        assert np.array_equal(tensor, params_b.named_tensors()[name])
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(0)
+    sample = rng.normal(scale=8.0, size=(64, 512))
+    sample[0, :8] = [0.0, -0.0, 709.0, -709.0, 1e4, -1e4, 1e-300, -1e-300]
+    # underflow to 0 is the intended result; anything else would be a warning
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for x in (sample, sample[:1, :128], sample[:, 128:256]):
+            got = _sigmoid(x)
+            assert got.tobytes() == two_branch(x).tobytes()
+    assert _sigmoid(np.array([-1e4]))[0] == 0.0 and _sigmoid(np.array([1e4]))[0] == 1.0
 
 
 def test_train_rejects_empty_lexicon():
