@@ -260,6 +260,26 @@ def random_word(
     return "".join(parts)
 
 
+def _word_space_size(
+    min_syllables: int,
+    max_syllables: int,
+    coda_probability: float,
+    consonants: str,
+    eq: EquivalenceClasses,
+) -> int:
+    """How many words random_word can draw that stay distinct under eq.
+
+    A word's syllable count and coda show in its length, and eq maps single
+    characters to single characters, so the distinct words are the products
+    of the distinct canonical letters at each position.
+    """
+    c = len(set(canonicalize(consonants, eq)))
+    v = len(set(canonicalize(_VOWELS, eq)))
+    # rng.random() < p is never true for p == 0 and always true for p == 1
+    codas = 1 if coda_probability == 0 else c if coda_probability == 1 else 1 + c
+    return sum((c * v) ** n * codas for n in range(min_syllables, max_syllables + 1))
+
+
 def native_form(word: str) -> str:
     """Deterministic stand-in native spelling: one Bengali letter per a-z letter."""
     return "".join(chr(0x0995 + ord(ch) - ord("a")) for ch in word)
@@ -297,6 +317,20 @@ def generate_benchmark(
     """
     if min(dict_size, train_size, test_size) < 1:
         raise ValueError("benchmark sizes must be positive")
+    if min_syllables < 1:
+        raise ValueError(f"min_syllables must be at least 1 (got {min_syllables})")
+    if max_syllables < min_syllables:
+        raise ValueError(
+            f"max_syllables must be at least min_syllables (got {max_syllables} < {min_syllables})"
+        )
+    if not 0.0 <= coda_probability <= 1.0:
+        raise ValueError(f"coda_probability must be in [0, 1] (got {coda_probability})")
+    space = _word_space_size(min_syllables, max_syllables, coda_probability, consonants, eq)
+    if dict_size > space:
+        raise ValueError(
+            f"word space too small for the requested dictionary size "
+            f"({dict_size} requested, {space} distinct words)"
+        )
     rng = np.random.default_rng(seed)
     scaled = noise.scaled(noise_rate)
 

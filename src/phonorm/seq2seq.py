@@ -291,23 +291,34 @@ class Batch:
     """Teacher-forcing views of a group of (source, target) pairs.
 
     dec_in is dec_tgt shifted right by one (start marker first); mask is True
-    exactly on the real target symbols (characters plus the end marker), so
-    padded positions contribute nothing to loss or gradients.
+    exactly on the real target symbols (characters plus the end marker), a
+    prefix of each row, so padded positions contribute nothing to loss or
+    gradients. The decoder runs for as many steps as the batch has columns:
+    max_len + 1 as prepare_batch lays it out, fewer after rows().
     """
 
     src: np.ndarray  # (batch, max_len) int indices
-    dec_in: np.ndarray  # (batch, max_len + 1) int indices
-    dec_tgt: np.ndarray  # (batch, max_len + 1) int indices
-    mask: np.ndarray  # (batch, max_len + 1) bool
+    dec_in: np.ndarray  # (batch, steps) int indices, steps <= max_len + 1
+    dec_tgt: np.ndarray  # (batch, steps) int indices
+    mask: np.ndarray  # (batch, steps) bool
 
     @property
     def size(self) -> int:
         return self.src.shape[0]
 
     def rows(self, index) -> Batch:
-        """The batch of the pairs at index (a slice or an index array)."""
-        return Batch(src=self.src[index], dec_in=self.dec_in[index],
-                     dec_tgt=self.dec_tgt[index], mask=self.mask[index])
+        """The batch of the pairs at index (a slice or an index array).
+
+        Its decoder columns stop at the longest real target among those pairs:
+        the columns cut off are masked in every row, and a decoder step never
+        affects the steps before it, so the loss is that of the full-width
+        rows and the gradients differ from theirs at most in the rounding of
+        their sums.
+        """
+        mask = self.mask[index]
+        steps = int(mask.sum(axis=1).max(initial=0))
+        return Batch(src=self.src[index], dec_in=self.dec_in[index, :steps],
+                     dec_tgt=self.dec_tgt[index, :steps], mask=mask[:, :steps])
 
 
 def prepare_batch(
@@ -394,7 +405,8 @@ def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
 
     The loss averages -log p(target symbol) over real (unmasked) target
     positions only; padded positions are excluded from both the loss and the
-    gradient even though the network physically steps through them.
+    gradient even though the network physically steps through them (the
+    encoder through all max_len, the decoder through the batch's columns).
     """
     enc_caches, dec_caches, top, probs = _forward(params, batch)
     metrics = _masked_metrics(probs, batch)
@@ -647,13 +659,20 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION})"
         )
+
+    def dimension(value) -> int:
+        # bool is an int subclass; a float such as 1.5 or 1e400 is no dimension
+        if type(value) is not int:
+            raise ValueError(f"dimension {value!r} is not an integer")
+        return value
+
     try:
-        hidden_dim = int(header["hidden_dim"])
-        num_layers = int(header["num_layers"])
-        max_len = int(header["max_len"])
+        hidden_dim = dimension(header["hidden_dim"])
+        num_layers = dimension(header["num_layers"])
+        max_len = dimension(header["max_len"])
         source_alphabet = Alphabet(side=SOURCE, content=tuple(header["source_alphabet"]))
         target_alphabet = Alphabet(side=TARGET, content=tuple(header["target_alphabet"]))
-        manifest = [(str(name), tuple(int(n) for n in shape)) for name, shape in header["tensors"]]
+        manifest = [(str(name), tuple(dimension(n) for n in shape)) for name, shape in header["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     if min(hidden_dim, num_layers, max_len) < 1:

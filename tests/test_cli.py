@@ -203,6 +203,34 @@ def test_normalize_checkpoint_header_not_an_object_is_data_error(workspace, caps
     assert "error:" in err and "malformed header" in err
 
 
+@pytest.mark.parametrize(
+    "field, token",
+    [("max_len", "1.5"), ("num_layers", "true"), ("hidden_dim", "1e400"), ("shape", "4.0")],
+)
+def test_normalize_checkpoint_dimension_not_an_integer_is_data_error(
+    workspace, capsys, tmp_path, field, token
+):
+    # splice a raw JSON token into the saved header; the tensor bytes stay
+    data = (workspace / "model.ckpt").read_bytes()
+    offset = len(CHECKPOINT_MAGIC) + 1
+    (header_len,) = struct.unpack_from("<Q", data, offset)
+    header = json.loads(data[offset + 8 : offset + 8 + header_len])
+    if field == "shape":
+        header["tensors"][0][1][0] = "@"
+    else:
+        header[field] = "@"
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).replace('"@"', token).encode("ascii")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[:offset] + struct.pack("<Q", len(blob)) + blob + data[offset + 8 + header_len :])
+    code, out, err = run(
+        capsys,
+        ["normalize", "kala", "--dict", str(workspace / "dict.tsv"), "--checkpoint", str(bad)],
+    )
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "malformed header" in err and "Traceback" not in err
+
+
 def test_normalize_model_setup_requires_checkpoint(workspace):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "x", "--dict", str(workspace / "dict.tsv"), "--setup", "3"])
@@ -353,6 +381,35 @@ def test_generate_is_deterministic_across_runs(capsys, tmp_path):
         assert code == 0
     for name in ("dictionary.tsv", "lexicon.tsv", "testset.tsv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("dict_size", ["100000", "9217"])
+def test_generate_impossible_dictionary_size_is_data_error(capsys, tmp_path, dict_size):
+    # the default two-syllable space holds 9216 words distinct under the
+    # equivalence classes; asking for more must fail at once, not draw for minutes
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, ["generate", "--out-dir", str(out_dir), "--dict-size", dict_size])
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "word space too small" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--min-syllables", "0"], "min_syllables"),
+        (["--min-syllables", "3", "--max-syllables", "2"], "max_syllables"),
+        (["--coda-probability", "5"], "coda_probability"),
+    ],
+)
+def test_generate_rejects_invalid_word_shape(capsys, tmp_path, args, field):
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, ["generate", "--out-dir", str(out_dir)] + args)
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and field in err
+    assert not out_dir.exists()
 
 
 def test_missing_subcommand_is_usage_error():

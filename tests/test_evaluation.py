@@ -276,3 +276,9 @@ def test_generate_benchmark_validates_sizes_and_space():
     with pytest.raises(ValueError, match="word space"):
         generate_benchmark(seed=1, dict_size=50, train_size=1, test_size=1,
                            consonants="b")
+    # one consonant and four vowel classes (a ~ o): 4 * 4 two-syllable words,
+    # each with or without a coda, so 32 fit exactly and 33 do not
+    full = generate_benchmark(seed=1, dict_size=32, train_size=1, test_size=1, consonants="b")
+    assert len(full.dictionary) == 32
+    with pytest.raises(ValueError, match="word space"):
+        generate_benchmark(seed=1, dict_size=33, train_size=1, test_size=1, consonants="b")

@@ -139,6 +139,48 @@ def test_prepare_batch_layout():
     assert batch.dec_tgt[0, 1] == target.end_index
 
 
+def test_rows_trims_decoder_columns_to_longest_selected_target():
+    params = tiny_params()
+    pairs = [("ab", "a"), ("abc", "cab"), ("a", "ba"), ("c", "abcab")]
+    full = prepare_batch(pairs, params.source_alphabet, params.target_alphabet, params.max_len)
+    assert full.dec_in.shape == (4, params.max_len + 1)
+    for index, steps in (([0, 2], 3), (slice(1, 3), 4), ([2, 0, 1], 4), ([3], 6), ([0], 2)):
+        part = full.rows(index)
+        assert part.dec_in.shape == part.dec_tgt.shape == part.mask.shape == (part.size, steps)
+        assert np.array_equal(part.src, full.src[index])
+        assert np.array_equal(part.dec_in, full.dec_in[index, :steps])
+        assert np.array_equal(part.dec_tgt, full.dec_tgt[index, :steps])
+        assert np.array_equal(part.mask, full.mask[index, :steps])
+        # only columns masked in every selected row were cut
+        assert not full.mask[index, steps:].any()
+        assert part.mask[:, -1].any()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("ab", "ba"), ("abc", "cab"), ("a", "a"), ("cc", "b")],  # trimmed to 4 of 6 columns
+        [("ab", "ba"), ("abcab", "cabca"), ("a", "a")],  # fills max_len: nothing to trim
+        [("bca", "cb")],  # one row
+    ],
+)
+def test_trimmed_batch_gives_full_width_loss_and_gradients(pairs):
+    params = tiny_params(seed=4, hidden_dim=6)
+    full = prepare_batch(pairs, params.source_alphabet, params.target_alphabet, params.max_len)
+    trimmed = full.rows(np.arange(full.size))
+    longest = max(len(t) for _, t in pairs) + 1
+    assert trimmed.dec_in.shape[1] == longest
+
+    a = loss_and_gradients(params, trimmed)
+    b = loss_and_gradients(params, full)
+    assert vars(a.metrics) == vars(b.metrics)
+    assert vars(batch_loss(params, trimmed)) == vars(b.metrics)
+    assert a.grads.keys() == b.grads.keys()
+    for name, grad in b.grads.items():
+        scale = np.abs(grad).max()
+        assert np.abs(a.grads[name] - grad).max() <= 1e-12 * scale, name
+
+
 def test_batch_loss_matches_stepwise_decoding():
     params = tiny_params()
     pairs = [("ab", "ba"), ("abc", "cab"), ("a", "a")]
