@@ -1,9 +1,10 @@
 """Character index coding for the sequence model.
 
 An Alphabet assigns dense indices to reserved markers plus the observed
-content characters. Words become fixed-length index sequences (right-padded),
-which the model reads directly. The target side wraps words in explicit
-start/end markers so the decoder has a begin symbol and a stop condition.
+content characters. A list of words becomes one index array, a right-padded
+row per word, which the model reads directly. The target side wraps words in
+explicit start/end markers so the decoder has a begin symbol and a stop
+condition.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 SOURCE = "source"
 TARGET = "target"
@@ -97,14 +100,6 @@ class Alphabet:
         return self.content[index - len(self.reserved)]
 
 
-@dataclass(frozen=True)
-class EncodedSequence:
-    """Fixed-length index sequence; mask flags the non-pad positions."""
-
-    indices: tuple[int, ...]
-    mask: tuple[bool, ...]
-
-
 def build_alphabet(corpora: Iterable[str], side: str) -> Alphabet:
     """Build an alphabet from every character observed in `corpora`.
 
@@ -126,29 +121,28 @@ def build_alphabet(corpora: Iterable[str], side: str) -> Alphabet:
     return Alphabet(side=side, content=content)
 
 
-def encode(word: str, alphabet: Alphabet, max_len: int) -> EncodedSequence:
-    """Encode a word as indices padded to the model length.
+def encode(words: Sequence[str], alphabet: Alphabet, max_len: int) -> np.ndarray:
+    """Encode words as one index array, a right-padded row per word.
 
-    Source words become max_len indices; target words are wrapped in
-    start/end and become max_len + 2. Unknown characters and overlong words
-    are errors.
+    Source rows have max_len columns; target rows wrap each word in
+    start/end and have max_len + 2. Unknown characters and overlong words
+    are errors, raised for the first word that has one.
     """
-    if len(word) > max_len:
-        raise EncodingError(f"word {word!r} has {len(word)} characters, max_len is {max_len}")
-    body = [alphabet.index_of(ch) for ch in word]
-    if alphabet.side == SOURCE:
-        indices = body + [alphabet.pad_index] * (max_len - len(body))
-        mask = [True] * len(body) + [False] * (max_len - len(body))
-    else:
-        wrapped = [alphabet.start_index] + body + [alphabet.end_index]
-        pad = max_len + 2 - len(wrapped)
-        indices = wrapped + [alphabet.pad_index] * pad
-        mask = [True] * len(wrapped) + [False] * pad
-    return EncodedSequence(indices=tuple(indices), mask=tuple(mask))
+    target = alphabet.side == TARGET
+    width = max_len + 2 if target else max_len
+    rows = []
+    for word in words:
+        if len(word) > max_len:
+            raise EncodingError(f"word {word!r} has {len(word)} characters, max_len is {max_len}")
+        body = [alphabet.index_of(ch) for ch in word]
+        if target:
+            body = [alphabet.start_index, *body, alphabet.end_index]
+        rows.append(body + [alphabet.pad_index] * (width - len(body)))
+    return np.array(rows, dtype=np.intp).reshape(len(words), width)
 
 
 def decode(indices: Sequence[int], alphabet: Alphabet) -> str:
-    """Inverse of encode: content characters up to the end marker.
+    """Inverse of encode for one row: content characters up to the end marker.
 
     Pad (and the target-side start marker) are skipped; the end marker stops
     decoding. Out-of-range indices are errors.

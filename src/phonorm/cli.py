@@ -161,7 +161,7 @@ def cmd_normalize(args, parser) -> int:
 def cmd_backtranslit(args) -> int:
     dictionary = load_dictionary(args.dict)
     for word in _read_words(args):
-        natives = dictionary.reverse_lookup(word)
+        natives = dictionary.natives(word)
         _emit(
             {"type": "backtranslit", "standard": word, "natives": natives},
             args.format,

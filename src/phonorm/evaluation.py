@@ -199,7 +199,7 @@ class NoiseModel:
 
     def scaled(self, rate: float) -> "NoiseModel":
         """Multiply every probability by rate (clipped to 1)."""
-        if rate < 0:
+        if not rate >= 0:
             raise ValueError("noise rate must be non-negative")
         return replace(
             self,

@@ -129,10 +129,6 @@ class TransliterationDictionary(_PairTable):
         """
         return self._natives_by_standard.get(standard, ())
 
-    def reverse_lookup(self, standard: str) -> list[str]:
-        """natives(standard) as a new list."""
-        return list(self.natives(standard))
-
 
 class TestSet(_PairTable):
     """Ordered (input, gold) evaluation pairs."""

@@ -26,7 +26,6 @@ DEFAULT_DIGIT_PHONES: dict[str, str] = {
 
 _DIGITS = "0123456789"
 _RUN = re.compile(r"(.)\1{2,}", re.DOTALL)
-_TRIPLE = re.compile(r"(.)\1\1", re.DOTALL)
 
 
 class DigitTableError(ValueError):
@@ -54,7 +53,7 @@ def validate_digit_table(table: dict[str, str]) -> dict[str, str]:
             raise DigitTableError(
                 f"phone word {phone!r} for digit {digit!r} must be lowercase ASCII letters"
             )
-        if _TRIPLE.search(phone):
+        if _RUN.search(phone):
             raise DigitTableError(
                 f"phone word {phone!r} for digit {digit!r} contains a run of 3+ identical characters"
             )

@@ -16,12 +16,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .charcodec import SOURCE, TARGET, Alphabet, build_alphabet, encode
+from .charcodec import SOURCE, TARGET, Alphabet, build_alphabet, decode, encode
 from .lexicon import ParallelLexicon
 from .prenorm import prenormalize
 
@@ -52,29 +53,50 @@ class LstmLayerParams:
 
 @dataclass(eq=False)
 class ModelParams:
-    """All trainable tensors plus the codec state needed to run the model."""
+    """The codec state needed to run the model plus every trainable tensor.
+
+    tensors maps each name to its array in _expected_shapes order, the order
+    of gradients, rmsprop state and the checkpoint manifest. The layer views
+    and the output projection share those arrays, so an in-place update of a
+    tensor is an update of the model.
+    """
 
     source_alphabet: Alphabet
     target_alphabet: Alphabet
     max_len: int
-    hidden_dim: int
-    num_layers: int
-    encoder: tuple[LstmLayerParams, ...]
-    decoder: tuple[LstmLayerParams, ...]
-    w_out: np.ndarray  # (hidden_dim, target_size)
-    b_out: np.ndarray  # (target_size,)
+    tensors: dict[str, np.ndarray]
 
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable array, in a fixed canonical order."""
-        out: dict[str, np.ndarray] = {}
-        for tag, layers in (("enc", self.encoder), ("dec", self.decoder)):
-            for index, layer in enumerate(layers):
-                out[f"{tag}{index}.w_x"] = layer.w_x
-                out[f"{tag}{index}.w_h"] = layer.w_h
-                out[f"{tag}{index}.b"] = layer.b
-        out["out.w"] = self.w_out
-        out["out.b"] = self.b_out
-        return out
+    @property
+    def hidden_dim(self) -> int:
+        return self.w_out.shape[0]
+
+    @property
+    def num_layers(self) -> int:
+        # three tensors per layer in each of the two stacks, plus out.w and out.b
+        return (len(self.tensors) - 2) // 6
+
+    @property
+    def w_out(self) -> np.ndarray:  # (hidden_dim, target_size)
+        return self.tensors["out.w"]
+
+    @property
+    def b_out(self) -> np.ndarray:  # (target_size,)
+        return self.tensors["out.b"]
+
+    def _layers(self, tag: str) -> tuple[LstmLayerParams, ...]:
+        t = self.tensors
+        return tuple(
+            LstmLayerParams(w_x=t[f"{tag}{i}.w_x"], w_h=t[f"{tag}{i}.w_h"], b=t[f"{tag}{i}.b"])
+            for i in range(self.num_layers)
+        )
+
+    @cached_property
+    def encoder(self) -> tuple[LstmLayerParams, ...]:
+        return self._layers("enc")
+
+    @cached_property
+    def decoder(self) -> tuple[LstmLayerParams, ...]:
+        return self._layers("dec")
 
 
 def _expected_shapes(
@@ -110,37 +132,7 @@ def init_model_params(
         raise ValueError("hidden_dim must be positive")
     shapes = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     tensors = {name: rng.uniform(-init_scale, init_scale, size=shape) for name, shape in shapes.items()}
-    return _assemble(source_alphabet, target_alphabet, max_len, hidden_dim, num_layers, tensors)
-
-
-def _assemble(
-    source_alphabet: Alphabet,
-    target_alphabet: Alphabet,
-    max_len: int,
-    hidden_dim: int,
-    num_layers: int,
-    tensors: dict[str, np.ndarray],
-) -> ModelParams:
-    """Group named tensors (as laid out by _expected_shapes) into ModelParams."""
-
-    def layer(tag: str, index: int) -> LstmLayerParams:
-        return LstmLayerParams(
-            w_x=tensors[f"{tag}{index}.w_x"],
-            w_h=tensors[f"{tag}{index}.w_h"],
-            b=tensors[f"{tag}{index}.b"],
-        )
-
-    return ModelParams(
-        source_alphabet=source_alphabet,
-        target_alphabet=target_alphabet,
-        max_len=max_len,
-        hidden_dim=hidden_dim,
-        num_layers=num_layers,
-        encoder=tuple(layer("enc", i) for i in range(num_layers)),
-        decoder=tuple(layer("dec", i) for i in range(num_layers)),
-        w_out=tensors["out.w"],
-        b_out=tensors["out.b"],
-    )
+    return ModelParams(source_alphabet, target_alphabet, max_len, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +322,9 @@ def prepare_batch(
     """Encode already pre-normalized (source, target) pairs for training."""
     if not pairs:
         raise ValueError("cannot build an empty batch")
-    src = np.array([encode(source, source_alphabet, max_len).indices for source, _ in pairs])
+    src = encode([source for source, _ in pairs], source_alphabet, max_len)
     # (start, chars..., end, pads...), length max_len + 2
-    full = np.array([encode(target, target_alphabet, max_len).indices for _, target in pairs])
+    full = encode([target for _, target in pairs], target_alphabet, max_len)
     dec_tgt = full[:, 1:]
     return Batch(src=src, dec_in=full[:, :-1], dec_tgt=dec_tgt, mask=dec_tgt != target_alphabet.pad_index)
 
@@ -523,6 +515,8 @@ def train(
         raise ValueError("epochs must be positive")
     if config.batch_size < 1:
         raise ValueError("batch_size must be positive")
+    if not 0.0 < config.learning_rate < np.inf:
+        raise ValueError("learning_rate must be a positive finite number")
     if not 0.0 <= config.validation_fraction < 1.0:
         raise ValueError("validation_fraction must be in [0, 1)")
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
@@ -550,8 +544,7 @@ def train(
     val_batch = encoded.rows(slice(None, n_val)) if n_val else None
     train_batch = encoded.rows(slice(n_val, None))
 
-    tensors = params.named_tensors()
-    rms_cache = {name: np.zeros_like(arr) for name, arr in tensors.items()}
+    rms_cache = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
 
     records = []
     for epoch in range(1, config.epochs + 1):
@@ -560,7 +553,7 @@ def train(
         for start in range(0, train_batch.size, config.batch_size):
             result = loss_and_gradients(params, train_batch.rows(order[start : start + config.batch_size]))
             seen += result.metrics
-            for name, tensor in tensors.items():
+            for name, tensor in params.tensors.items():
                 grad = result.grads[name]
                 cache = rms_cache[name]
                 cache *= RMSPROP_RHO
@@ -585,22 +578,17 @@ def infer(params: ModelParams, word: str) -> str:
     index on ties) until the end marker or the step budget; emitted content is
     capped at max_len characters so the result always re-encodes.
     """
-    src = encode(word, params.source_alphabet, params.max_len)
-    states = encode_sequence(np.array([src.indices]), params)
+    states = encode_sequence(encode([word], params.source_alphabet, params.max_len), params)
     target = params.target_alphabet
     x = np.array([target.start_index])
-    out: list[str] = []
+    emitted = []
     for _ in range(params.max_len + 2):
         probs, states = decode_step(x, states, params)
-        idx = int(np.argmax(probs[0]))
-        if idx == target.end_index:
+        x = probs.argmax(axis=1)
+        emitted.append(x[0])
+        if x[0] == target.end_index:
             break
-        x = np.array([idx])
-        if target.is_content(idx):
-            out.append(target.char_at(idx))
-            if len(out) >= params.max_len:
-                break
-    return "".join(out)
+    return decode(emitted, target)[: params.max_len]
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +602,6 @@ def save_checkpoint(path, params: ModelParams) -> None:
     JSON header (dims, alphabets and a tensor manifest), then the raw
     little-endian float64 bytes of every tensor in manifest order.
     """
-    tensors = params.named_tensors()
     header = {
         "version": CHECKPOINT_VERSION,
         "hidden_dim": params.hidden_dim,
@@ -622,14 +609,14 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "max_len": params.max_len,
         "source_alphabet": "".join(params.source_alphabet.content),
         "target_alphabet": "".join(params.target_alphabet.content),
-        "tensors": [[name, list(arr.shape)] for name, arr in tensors.items()],
+        "tensors": [[name, list(arr.shape)] for name, arr in params.tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for arr in tensors.values():
+        for arr in params.tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -703,4 +690,4 @@ def load_checkpoint(path) -> ModelParams:
         offset += nbytes
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after tensor data")
-    return _assemble(source_alphabet, target_alphabet, max_len, hidden_dim, num_layers, tensors)
+    return ModelParams(source_alphabet, target_alphabet, max_len, tensors)

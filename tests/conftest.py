@@ -101,6 +101,6 @@ def zero_model():
     target = build_alphabet(["abc"], TARGET)
     params = init_model_params(source, target, max_len=6, hidden_dim=4, num_layers=2,
                                rng=np.random.default_rng(0))
-    for tensor in params.named_tensors().values():
+    for tensor in params.tensors.values():
         tensor[...] = 0.0
     return params

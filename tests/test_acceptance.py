@@ -190,7 +190,7 @@ def test_criterion_05_every_gradient_matches_finite_differences():
     started = time.monotonic()
     step = 1e-5
     checked = 0
-    for name, tensor in params.named_tensors().items():
+    for name, tensor in params.tensors.items():
         flat = tensor.reshape(-1)
         analytic_flat = grads[name].reshape(-1)
         for k in range(flat.size):
@@ -207,7 +207,7 @@ def test_criterion_05_every_gradient_matches_finite_differences():
                 f"{name}[{k}]: numeric {numeric!r} vs analytic {analytic!r}"
             )
             checked += 1
-    assert checked == sum(t.size for t in params.named_tensors().values())
+    assert checked == sum(t.size for t in params.tensors.values())
     assert time.monotonic() - started < 60.0
 
 
@@ -315,8 +315,8 @@ def test_criterion_10_checkpoint_round_trip_preserves_inference(identity_run, tm
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
 
-    originals = params.named_tensors()
-    for name, tensor in loaded.named_tensors().items():
+    originals = params.tensors
+    for name, tensor in loaded.tensors.items():
         assert np.array_equal(tensor, originals[name])
 
     rng = np.random.default_rng(1010)

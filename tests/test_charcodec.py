@@ -51,29 +51,49 @@ def test_build_alphabet_empty_corpus():
 
 def test_encode_source_pads_to_max_len():
     ab = build_alphabet(["abç"], SOURCE)
-    enc = encode("ba", ab, max_len=5)
-    assert enc.indices == (ab.index_of("b"), ab.index_of("a"), 0, 0, 0)
-    assert enc.mask == (True, True, False, False, False)
+    enc = encode(["ba"], ab, max_len=5)
+    assert enc.tolist() == [[ab.index_of("b"), ab.index_of("a"), 0, 0, 0]]
 
 
 def test_encode_target_brackets_with_markers():
     ab = build_alphabet(["ab"], TARGET)
-    enc = encode("ab", ab, max_len=4)
+    enc = encode(["ab"], ab, max_len=4)
     # start, a, b, end, then padding to max_len + 2
-    assert enc.indices == (1, ab.index_of("a"), ab.index_of("b"), 2, 0, 0)
-    assert len(enc.indices) == 6
+    assert enc.tolist() == [[1, ab.index_of("a"), ab.index_of("b"), 2, 0, 0]]
+
+
+@pytest.mark.parametrize("side, width", [(SOURCE, 6), (TARGET, 8)])
+def test_encode_of_a_list_stacks_the_rows_of_its_words(side, width):
+    ab = build_alphabet(["abc"], side)
+    words = ["cab", "", "a", "abcabc", "bb"]
+    enc = encode(words, ab, max_len=6)
+    assert enc.shape == (len(words), width)
+    assert enc.dtype.kind == "i"
+    for row, word in zip(enc, words):
+        assert np.array_equal(row, encode([word], ab, max_len=6)[0])
+    assert encode([], ab, max_len=6).shape == (0, width)
+
+
+@pytest.mark.parametrize("first, second", [("aëb", "a" * 9), ("a" * 9, "aëb")])
+def test_encode_of_a_list_raises_for_its_first_bad_word(first, second):
+    ab = build_alphabet(["ab"], SOURCE)
+    with pytest.raises(EncodingError) as alone:
+        encode([first], ab, max_len=6)
+    with pytest.raises(EncodingError) as listed:
+        encode(["ab", first, "b", second], ab, max_len=6)
+    assert str(listed.value) == str(alone.value)
 
 
 def test_encode_rejects_overlong_word():
     ab = build_alphabet(["ab"], SOURCE)
     with pytest.raises(EncodingError):
-        encode("a" * 7, ab, max_len=6)
+        encode(["a" * 7], ab, max_len=6)
 
 
 def test_encode_rejects_unknown_character():
     ab = build_alphabet(["ab"], TARGET)
     with pytest.raises(EncodingError) as err:
-        encode("aëb", ab, max_len=5)
+        encode(["aëb"], ab, max_len=5)
     assert "ë" in str(err.value)
 
 
@@ -84,8 +104,8 @@ def test_decode_inverse_of_encode():
     for _ in range(200):
         n = int(rng.integers(0, 7))
         word = "".join(letters[i] for i in rng.integers(0, 5, size=n))
-        enc = encode(word, ab, max_len=7)
-        assert decode(enc.indices, ab) == word
+        (row,) = encode([word], ab, max_len=7)
+        assert decode(row, ab) == word
 
 
 def test_decode_stops_at_end_marker():

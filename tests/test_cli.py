@@ -174,7 +174,9 @@ def test_normalize_setup_and_mode_conflict(workspace):
     "flag, value, field",
     [("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
      ("--batch-size", "0", "batch_size"), ("--hidden-dim", "0", "hidden_dim"),
-     ("--validation-fraction", "-0.5", "validation_fraction")],
+     ("--validation-fraction", "-0.5", "validation_fraction"),
+     ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+     ("--lr", "0", "learning_rate"), ("--lr", "-1", "learning_rate")],
 )
 def test_train_rejects_unrunnable_config_before_writing(workspace, capsys, tmp_path, flag, value, field):
     checkpoint = tmp_path / "m.ckpt"
@@ -409,6 +411,16 @@ def test_generate_rejects_invalid_word_shape(capsys, tmp_path, args, field):
     assert code == 4
     assert out == ""
     assert "error:" in err and field in err
+    assert not out_dir.exists()
+
+
+def test_generate_rejects_nan_noise_rate(capsys, tmp_path):
+    # NaN fails every comparison, so it must not pass as a rate clipped to 1
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, ["generate", "--out-dir", str(out_dir), "--noise-rate", "nan"])
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "noise rate" in err
     assert not out_dir.exists()
 
 

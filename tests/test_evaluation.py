@@ -192,8 +192,9 @@ def test_noise_scaling():
     assert noise.scaled(0.0) == QUIET
     maxed = noise.scaled(100.0)
     assert maxed.vowel_swap == 1.0 and maxed.vowel_deletion == 1.0
-    with pytest.raises(ValueError):
-        noise.scaled(-0.5)
+    for rate in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            noise.scaled(rate)
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,9 @@ def test_dictionary_reverse_lookup_preserves_file_order(tmp_path):
     body = "কালো\tkala\nকলা\tkala\nভালো\tbhala\n"
     d = load_dictionary(write(tmp_path, body))
     assert d.standards == ("kala", "kala", "bhala")
-    assert d.reverse_lookup("kala") == ["কালো", "কলা"]
-    assert d.reverse_lookup("bhala") == ["ভালো"]
-    assert d.reverse_lookup("missing") == []
-    # natives is the same lookup as the dictionary's own tuple, shared by callers
+    # natives returns the dictionary's own tuple, shared by callers
     assert d.natives("kala") == ("কালো", "কলা")
+    assert d.natives("bhala") == ("ভালো",)
     assert d.natives("kala") is d.natives("kala")
     assert d.natives("missing") == ()
 

@@ -47,6 +47,36 @@ def small_lexicon() -> ParallelLexicon:
     return ParallelLexicon(entries=tuple((w, w) for w in words))
 
 
+def test_tensor_writes_in_place_show_through_the_layer_views():
+    # train updates params.tensors in place; the model must run on the result
+    params = tiny_params()
+    params.tensors["enc0.w_x"][1, 2] = 7.0
+    params.tensors["out.w"][0, 1] = -3.0
+    assert params.encoder[0].w_x[1, 2] == 7.0
+    assert params.w_out[0, 1] == -3.0
+    assert params.w_out is params.tensors["out.w"]
+    assert params.b_out is params.tensors["out.b"]
+    for tag, layers in (("enc", params.encoder), ("dec", params.decoder)):
+        for i, layer in enumerate(layers):
+            assert layer.w_x is params.tensors[f"{tag}{i}.w_x"]
+            assert layer.w_h is params.tensors[f"{tag}{i}.w_h"]
+            assert layer.b is params.tensors[f"{tag}{i}.b"]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_dimensions_are_derived_from_the_tensors(num_layers):
+    source = build_alphabet(["abc"], SOURCE)
+    target = build_alphabet(["abc"], TARGET)
+    params = init_model_params(source, target, max_len=4, hidden_dim=5, num_layers=num_layers,
+                               rng=np.random.default_rng(0))
+    assert params.hidden_dim == 5
+    assert params.num_layers == num_layers
+    assert len(params.encoder) == len(params.decoder) == num_layers
+    expected = _expected_shapes(source.size, target.size, 5, num_layers)
+    assert list(params.tensors) == list(expected)
+    assert {name: t.shape for name, t in params.tensors.items()} == expected
+
+
 def test_lstm_step_zero_params_gives_zero_state():
     hidden = 3
     params = LstmLayerParams(
@@ -209,9 +239,8 @@ def test_gradients_match_finite_differences_spot_check():
 
     rng = np.random.default_rng(0)
     step = 1e-5
-    tensors = params.named_tensors()
     for name in ("enc0.w_x", "dec1.w_h", "out.w", "out.b"):
-        tensor = tensors[name]
+        tensor = params.tensors[name]
         flat = tensor.reshape(-1)
         for _ in range(3):
             k = int(rng.integers(0, flat.size))
@@ -232,8 +261,8 @@ def test_train_is_deterministic():
     params_a, trace_a = train(small_lexicon(), config)
     params_b, trace_b = train(small_lexicon(), config)
     assert trace_a == trace_b
-    for name, tensor in params_a.named_tensors().items():
-        assert np.array_equal(tensor, params_b.named_tensors()[name])
+    for name, tensor in params_a.tensors.items():
+        assert np.array_equal(tensor, params_b.tensors[name])
 
 
 def test_train_reduces_loss_and_records_validation():
@@ -270,8 +299,8 @@ def test_train_batch_larger_than_split_is_one_batch():
             for size in (9, 90)]
     (params_a, trace_a), (params_b, trace_b) = runs
     assert trace_a.to_tsv() == trace_b.to_tsv()
-    for name, tensor in params_a.named_tensors().items():
-        assert np.array_equal(tensor, params_b.named_tensors()[name])
+    for name, tensor in params_a.tensors.items():
+        assert np.array_equal(tensor, params_b.tensors[name])
 
 
 def test_sigmoid_matches_two_branch_formula_bit_for_bit():
@@ -332,8 +361,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.max_len == params.max_len
     assert loaded.source_alphabet == params.source_alphabet
     assert loaded.target_alphabet == params.target_alphabet
-    originals = params.named_tensors()
-    for name, tensor in loaded.named_tensors().items():
+    originals = params.tensors
+    for name, tensor in loaded.tensors.items():
         assert np.array_equal(tensor, originals[name])
     for word in ("ab", "cab", "abc", ""):
         assert infer(loaded, word) == infer(params, word)
@@ -408,7 +437,7 @@ def test_checkpoint_rejects_nonpositive_dimensions(tmp_path, dims):
 @pytest.mark.parametrize("name, value", [("out.w", np.nan), ("out.b", np.inf), ("enc0.w_x", -np.inf)])
 def test_checkpoint_rejects_non_finite_tensors(tmp_path, name, value):
     params = tiny_params()
-    params.named_tensors()[name].flat[1] = value
+    params.tensors[name].flat[1] = value
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params)
     with pytest.raises(CheckpointError, match=f"tensor {name} holds non-finite"):
