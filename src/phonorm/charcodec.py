@@ -91,14 +91,6 @@ class Alphabet:
         except KeyError:
             raise EncodingError(f"character {ch!r} is not in the {self.side} alphabet") from None
 
-    def is_content(self, index: int) -> bool:
-        return len(self.reserved) <= index < self.size
-
-    def char_at(self, index: int) -> str:
-        if not self.is_content(index):
-            raise EncodingError(f"index {index} is not a content character")
-        return self.content[index - len(self.reserved)]
-
 
 def build_alphabet(corpora: Iterable[str], side: str) -> Alphabet:
     """Build an alphabet from every character observed in `corpora`.
@@ -156,5 +148,5 @@ def decode(indices: Sequence[int], alphabet: Alphabet) -> str:
             continue
         if i == alphabet.end_index:
             break
-        chars.append(alphabet.char_at(i))
+        chars.append(alphabet.symbols[i])
     return "".join(chars)

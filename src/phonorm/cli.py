@@ -17,7 +17,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .evaluation import (
-    NoiseModel,
     evaluate,
     format_report_table,
     generate_benchmark,
@@ -62,7 +61,7 @@ def _load_digits(args):
 def _read_words(args) -> list[str]:
     words = list(args.words)
     if args.input is not None:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8-sig")
         words.extend(line for line in text.splitlines() if line.strip())
     return words
 
@@ -201,7 +200,6 @@ def cmd_generate(args) -> int:
         dict_size=args.dict_size,
         train_size=args.train_size,
         test_size=args.test_size,
-        noise=NoiseModel(),
         noise_rate=args.noise_rate,
         min_syllables=args.min_syllables,
         max_syllables=args.max_syllables,

@@ -247,14 +247,13 @@ def random_word(
     max_syllables: int = 3,
     coda_probability: float = 0.3,
     consonants: str = _CONSONANTS,
-    vowels: str = _VOWELS,
 ) -> str:
     """A pronounceable consonant-vowel word, optionally consonant-closed."""
     count = int(rng.integers(min_syllables, max_syllables + 1))
     parts = []
     for _ in range(count):
         parts.append(consonants[rng.integers(0, len(consonants))])
-        parts.append(vowels[rng.integers(0, len(vowels))])
+        parts.append(_VOWELS[rng.integers(0, len(_VOWELS))])
     if rng.random() < coda_probability:
         parts.append(consonants[rng.integers(0, len(consonants))])
     return "".join(parts)
@@ -265,16 +264,16 @@ def _word_space_size(
     max_syllables: int,
     coda_probability: float,
     consonants: str,
-    eq: EquivalenceClasses,
 ) -> int:
-    """How many words random_word can draw that stay distinct under eq.
+    """How many words random_word can draw that stay distinct under the
+    default equivalence classes.
 
-    A word's syllable count and coda show in its length, and eq maps single
-    characters to single characters, so the distinct words are the products
-    of the distinct canonical letters at each position.
+    A word's syllable count and coda show in its length, and the classes map
+    single characters to single characters, so the distinct words are the
+    products of the distinct canonical letters at each position.
     """
-    c = len(set(canonicalize(consonants, eq)))
-    v = len(set(canonicalize(_VOWELS, eq)))
+    c = len(set(canonicalize(consonants, DEFAULT_EQUIVALENCE_CLASSES)))
+    v = len(set(canonicalize(_VOWELS, DEFAULT_EQUIVALENCE_CLASSES)))
     # rng.random() < p is never true for p == 0 and always true for p == 1
     codas = 1 if coda_probability == 0 else c if coda_probability == 1 else 1 + c
     return sum((c * v) ** n * codas for n in range(min_syllables, max_syllables + 1))
@@ -297,13 +296,11 @@ def generate_benchmark(
     dict_size: int = 200,
     train_size: int = 1000,
     test_size: int = 200,
-    noise: NoiseModel = NoiseModel(),
     noise_rate: float = 1.0,
     min_syllables: int = 2,
     max_syllables: int = 2,
     coda_probability: float = 0.3,
     consonants: str = "bdgklmst",
-    eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
 ) -> SyntheticBenchmark:
     """Build a fully deterministic benchmark from one seed.
 
@@ -325,14 +322,14 @@ def generate_benchmark(
         )
     if not 0.0 <= coda_probability <= 1.0:
         raise ValueError(f"coda_probability must be in [0, 1] (got {coda_probability})")
-    space = _word_space_size(min_syllables, max_syllables, coda_probability, consonants, eq)
+    space = _word_space_size(min_syllables, max_syllables, coda_probability, consonants)
     if dict_size > space:
         raise ValueError(
             f"word space too small for the requested dictionary size "
             f"({dict_size} requested, {space} distinct words)"
         )
     rng = np.random.default_rng(seed)
-    scaled = noise.scaled(noise_rate)
+    scaled = NoiseModel().scaled(noise_rate)
 
     vocab: list[str] = []
     seen: set[str] = set()
@@ -342,7 +339,7 @@ def generate_benchmark(
         if attempts > 1000 * dict_size:
             raise ValueError("word space too small for the requested dictionary size")
         word = random_word(rng, min_syllables, max_syllables, coda_probability, consonants)
-        key = canonicalize(word, eq)
+        key = canonicalize(word, DEFAULT_EQUIVALENCE_CLASSES)
         if key not in seen:
             seen.add(key)
             vocab.append(word)

@@ -1,7 +1,7 @@
 """TSV-backed lexicons.
 
-Three shapes share one file format (UTF-8, one `<col1>\\t<col2>\\n` pair per
-line, no comments or blank lines):
+Three shapes share one file format (UTF-8 with any leading byte-order mark
+ignored, one `<col1>\\t<col2>\\n` pair per line, no comments or blank lines):
 
 * parallel lexicon: user transliteration -> canonical transliteration,
   training data for the character model;
@@ -28,7 +28,7 @@ class LexiconFormatError(ValueError):
 
 
 def _parse_pairs(path, what: str) -> tuple[tuple[str, str], ...]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     if text.endswith("\n"):
         text = text[:-1]
     if not text:
@@ -81,14 +81,6 @@ class ParallelLexicon(_PairTable):
     """
 
     kind = "parallel lexicon"
-
-    @property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.entries)
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        return tuple(t for _, t in self.entries)
 
 
 class TransliterationDictionary(_PairTable):

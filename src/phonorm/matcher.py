@@ -71,9 +71,6 @@ class EquivalenceClasses:
         """The str.translate table that maps every member to its representative."""
         return str.maketrans(self.representative_map)
 
-    def representative(self, ch: str) -> str:
-        return self.representative_map.get(ch, ch)
-
 
 DEFAULT_EQUIVALENCE_CLASSES = EquivalenceClasses.from_strings(("ao", "bv"))
 NO_EQUIVALENCE = EquivalenceClasses(())
@@ -82,7 +79,7 @@ NO_EQUIVALENCE = EquivalenceClasses(())
 def load_equivalence_classes(path) -> EquivalenceClasses:
     """Read class definitions: one line of characters per class, blank lines ignored."""
     groups = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         group = line.strip()
         if group:
             groups.append(group)

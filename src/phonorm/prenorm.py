@@ -63,7 +63,7 @@ def validate_digit_table(table: dict[str, str]) -> dict[str, str]:
 def load_digit_table(path) -> dict[str, str]:
     """Read a digit-phone table from a file of ten `<digit>\\t<phone>` lines."""
     table: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

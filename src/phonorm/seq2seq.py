@@ -172,20 +172,6 @@ def lstm_step(
     return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
 
 
-def _lstm_layer_forward(
-    x_seq: np.ndarray, params: LstmLayerParams, h0: np.ndarray, c0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    batch, steps = x_seq.shape[:2]
-    h_seq = np.empty((batch, steps, params.hidden_dim))
-    h, c = h0, c0
-    caches = []
-    for t in range(steps):
-        h, c, cache = lstm_step(x_seq[:, t], h, c, params)
-        h_seq[:, t, :] = h
-        caches.append(cache)
-    return h_seq, h, c, caches
-
-
 def _lstm_layer_backward(
     caches: list,
     d_h_seq: np.ndarray,
@@ -238,21 +224,37 @@ def _lstm_layer_backward(
     return (dw_x, dw_h, db), d_x_seq, dh, dc
 
 
-def _encode(params: ModelParams, src: np.ndarray) -> tuple[list, list[tuple[np.ndarray, np.ndarray]]]:
-    """Run the encoder stack from zero states; returns per-layer caches and final (h, c)."""
-    zeros = np.zeros((src.shape[0], params.hidden_dim))
-    caches, finals = [], []
-    x = src
-    for layer in params.encoder:
-        x, h, c, layer_caches = _lstm_layer_forward(x, layer, zeros, zeros)
-        caches.append(layer_caches)
-        finals.append((h, c))
-    return caches, finals
+def _step(
+    layers: Sequence[LstmLayerParams], x: np.ndarray, states: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[tuple]]:
+    """Advance a stack one time step: layer l reads the h of layer l - 1.
+
+    x is the bottom layer's input (see lstm_step); states holds (h, c) per
+    layer. Returns the top layer's h, each layer's new (h, c) and each
+    layer's lstm_step cache.
+    """
+    new_states, caches = [], []
+    for layer, (h, c) in zip(layers, states):
+        x, c, cache = lstm_step(x, h, c, layer)
+        new_states.append((x, c))
+        caches.append(cache)
+    return x, new_states, caches
 
 
-def encode_sequence(src: np.ndarray, params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run the encoder over a (batch, max_len) index batch; returns per-layer final (h, c)."""
-    return _encode(params, src)[1]
+def _run(
+    layers: Sequence[LstmLayerParams], x_seq: np.ndarray, states: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[list[tuple]]]:
+    """Step a stack over the columns of x_seq, (batch, steps) or (batch, steps, input_dim).
+
+    Returns the top outputs (batch, steps, hidden_dim), the final (h, c) per
+    layer and, per layer, its caches in time order.
+    """
+    tops, step_caches = [], []
+    for t in range(x_seq.shape[1]):
+        top, states, caches = _step(layers, x_seq[:, t], states)
+        tops.append(top)
+        step_caches.append(caches)
+    return np.stack(tops, axis=1), states, [list(layer) for layer in zip(*step_caches)]
 
 
 def decode_step(
@@ -264,14 +266,8 @@ def decode_step(
     states holds (h, c) per layer. Returns the softmax distribution over the
     next symbol and the advanced states.
     """
-    new_states = []
-    inp = x
-    for layer, (h, c) in zip(params.decoder, states):
-        h, c, _ = lstm_step(inp, h, c, layer)
-        new_states.append((h, c))
-        inp = h
-    probs = _softmax(inp @ params.w_out + params.b_out)
-    return probs, new_states
+    top, new_states, _ = _step(params.decoder, x, states)
+    return _softmax(top @ params.w_out + params.b_out), new_states
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +326,9 @@ def prepare_batch(
 
 
 def _forward(params: ModelParams, batch: Batch):
-    enc_caches, enc_finals = _encode(params, batch.src)
-    x = batch.dec_in
-    dec_caches = []
-    for layer, (h0, c0) in zip(params.decoder, enc_finals):
-        x, _, _, caches = _lstm_layer_forward(x, layer, h0, c0)
-        dec_caches.append(caches)
-    top = x  # (batch, steps, hidden_dim)
+    zeros = np.zeros((batch.size, params.hidden_dim))
+    _, enc_finals, enc_caches = _run(params.encoder, batch.src, [(zeros, zeros)] * params.num_layers)
+    top, _, dec_caches = _run(params.decoder, batch.dec_in, enc_finals)
     probs = _softmax(top @ params.w_out + params.b_out)
     return enc_caches, dec_caches, top, probs
 
@@ -578,7 +570,12 @@ def infer(params: ModelParams, word: str) -> str:
     index on ties) until the end marker or the step budget; emitted content is
     capped at max_len characters so the result always re-encodes.
     """
-    states = encode_sequence(encode([word], params.source_alphabet, params.max_len), params)
+    # the encoder keeps only its states: inference needs no training caches
+    src = encode([word], params.source_alphabet, params.max_len)
+    zeros = np.zeros((1, params.hidden_dim))
+    states = [(zeros, zeros)] * params.num_layers
+    for t in range(src.shape[1]):
+        _, states, _ = _step(params.encoder, src[:, t], states)
     target = params.target_alphabet
     x = np.array([target.start_index])
     emitted = []

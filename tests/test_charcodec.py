@@ -124,5 +124,5 @@ def test_decode_rejects_out_of_range():
 def test_source_alphabet_has_no_marker_symbols():
     ab = build_alphabet(["ab"], SOURCE)
     assert ab.symbols == (PAD_MARKER,) + ab.content
-    assert not ab.is_content(0)
-    assert ab.is_content(1)
+    # index 0 is the pad, skipped; index 1 is the first content character
+    assert decode([0, 1], ab) == ab.content[0]

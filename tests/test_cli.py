@@ -8,6 +8,9 @@ import struct
 import pytest
 
 from phonorm.cli import main
+from phonorm.lexicon import load_dictionary, load_parallel_lexicon, load_test_set
+from phonorm.matcher import load_equivalence_classes
+from phonorm.prenorm import DEFAULT_DIGIT_PHONES, load_digit_table
 from phonorm.seq2seq import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
@@ -428,3 +431,27 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "what",
+    ["dictionary", "lexicon", "test set", "digit table", "equivalence classes", "normalize --input"],
+)
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, what):
+    dict_path = tmp_path / "dict.tsv"
+    dict_path.write_text(DICT, encoding="utf-8")
+    load, body = {
+        "dictionary": (load_dictionary, DICT),
+        "lexicon": (load_parallel_lexicon, "kalo\tkala\nbodo\tbodo\n"),
+        "test set": (load_test_set, TESTSET),
+        "digit table": (load_digit_table, "".join(f"{d}\t{p}\n" for d, p in DEFAULT_DIGIT_PHONES.items())),
+        "equivalence classes": (load_equivalence_classes, "ao\nbv\n"),
+        "normalize --input": (
+            lambda path: run(capsys, ["normalize", "--input", str(path), "--dict", str(dict_path), "--setup", "2"]),
+            "kala\nkolo\nvodo\n",
+        ),
+    }[what]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    assert load(marked) == load(plain)

@@ -24,8 +24,6 @@ def test_load_parallel_lexicon(tmp_path):
     path = write(tmp_path, "kalo\tkala\nbhalo\tbhala\n")
     lex = load_parallel_lexicon(path)
     assert lex.entries == (("kalo", "kala"), ("bhalo", "bhala"))
-    assert lex.sources == ("kalo", "bhalo")
-    assert lex.targets == ("kala", "bhala")
     assert len(lex) == 2
 
 

@@ -18,7 +18,6 @@ from phonorm.seq2seq import (
     TrainingConfig,
     batch_loss,
     decode_step,
-    encode_sequence,
     infer,
     init_model_params,
     load_checkpoint,
@@ -26,6 +25,7 @@ from phonorm.seq2seq import (
     lstm_step,
     prepare_batch,
     _expected_shapes,
+    _run,
     _sigmoid,
     save_checkpoint,
     train,
@@ -141,7 +141,8 @@ def test_greedy_decodes_of_a_seeded_random_model_are_pinned():
 
 def test_decode_step_is_a_distribution(zero_model):
     target = zero_model.target_alphabet
-    states = encode_sequence(np.zeros((1, zero_model.max_len), dtype=int), zero_model)
+    zeros = np.zeros((1, zero_model.hidden_dim))
+    states = [(zeros, zeros)] * zero_model.num_layers
     x = np.array([target.start_index])
     probs, new_states = decode_step(x, states, zero_model)
     assert probs.shape == (1, target.size)
@@ -150,6 +151,37 @@ def test_decode_step_is_a_distribution(zero_model):
     # zero weights mean a uniform next-symbol distribution
     assert np.allclose(probs, 1.0 / target.size)
     assert len(new_states) == zero_model.num_layers
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_run_steps_the_stack_like_a_layer_by_layer_loop(dense):
+    rng = np.random.default_rng(21)
+    vocab, hidden, batch, steps = 6, 5, 4, 7
+    layers = [
+        LstmLayerParams(w_x=rng.uniform(-1, 1, (vocab if i == 0 else hidden, 4 * hidden)),
+                        w_h=rng.uniform(-1, 1, (hidden, 4 * hidden)), b=rng.uniform(-1, 1, 4 * hidden))
+        for i in range(3)
+    ]
+    x_seq = rng.integers(0, vocab, (batch, steps))
+    if dense:
+        x_seq = rng.uniform(-2, 2, (batch, steps, vocab))
+    states = [(rng.uniform(-1, 1, (batch, hidden)), rng.uniform(-1, 1, (batch, hidden))) for _ in layers]
+
+    top, finals, caches = _run(layers, x_seq, states)
+
+    # reference: each layer runs over the whole sequence before the next
+    inputs, want_finals = x_seq, []
+    for layer, (h, c) in zip(layers, states):
+        outputs = []
+        for t in range(steps):
+            h, c, _ = lstm_step(inputs[:, t], h, c, layer)
+            outputs.append(h)
+        want_finals.append((h, c))
+        inputs = np.stack(outputs, axis=1)
+    assert np.array_equal(top, inputs)
+    for (h, c), (want_h, want_c) in zip(finals, want_finals):
+        assert np.array_equal(h, want_h) and np.array_equal(c, want_c)
+    assert [len(layer_caches) for layer_caches in caches] == [steps] * len(layers)
 
 
 def test_prepare_batch_layout():
@@ -216,7 +248,8 @@ def test_batch_loss_matches_stepwise_decoding():
     pairs = [("ab", "ba"), ("abc", "cab"), ("a", "a")]
     batch = prepare_batch(pairs, params.source_alphabet, params.target_alphabet, params.max_len)
 
-    states = encode_sequence(batch.src, params)
+    zeros = np.zeros((batch.size, params.hidden_dim))
+    _, states, _ = _run(params.encoder, batch.src, [(zeros, zeros)] * params.num_layers)
     probs_steps = []
     for t in range(batch.dec_in.shape[1]):
         probs_t, states = decode_step(batch.dec_in[:, t], states, params)

@@ -1,0 +1,108 @@
+"""Print a SHA-256 fingerprint of phonorm's observable outputs.
+
+Run it on two trees and compare the lines: equal lines mean the outputs
+they cover are byte-identical. It takes no options:
+
+    python tools/fingerprint.py                       # this tree's src/
+    PYTHONPATH=<other tree>/src python tools/fingerprint.py
+
+Each line is `<name> <sha256>`, covering:
+
+* train.*: the checkpoint bytes and trace TSV of two seeded training runs
+  on generate_benchmark(seed=1)'s lexicon;
+* infer.seed<s>: infer's strings and error messages with the committed
+  perfbench/data/model.ckpt (read only) on the pre-normalized test inputs
+  of generate_benchmark(seed=s, test_size=1000), s in 0-2;
+* cli.*: stdout of the in-process CLI for `normalize` under setups 1-4 and
+  for `evaluate --setup all`, each in text and structured form, on
+  generate_benchmark()'s dictionary and test set with the same checkpoint.
+
+BLAS is pinned to one thread before numpy is imported, so the float
+results do not depend on how many cores the machine has. The script imports
+only long-standing library names (generate_benchmark, train, infer, the
+checkpoint functions and cli.main), so it also runs against older trees.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+# appended, so a tree named on PYTHONPATH takes precedence
+sys.path.append(str(ROOT / "src"))
+
+from phonorm import cli  # noqa: E402
+from phonorm.evaluation import generate_benchmark  # noqa: E402
+from phonorm.lexicon import save_dictionary, save_test_set  # noqa: E402
+from phonorm.prenorm import prenormalize  # noqa: E402
+from phonorm.seq2seq import TrainingConfig, infer, load_checkpoint, save_checkpoint, train  # noqa: E402
+
+CHECKPOINT = ROOT / "perfbench" / "data" / "model.ckpt"
+TRAINING_CONFIGS = {
+    "default3": TrainingConfig(epochs=3),
+    "small": TrainingConfig(epochs=2, hidden_dim=16, num_layers=3, batch_size=7,
+                            validation_fraction=0.25, rng_seed=3),
+}
+# words the checkpoint cannot encode: a foreign character, a digit that
+# expands past max_len, and an overlong word
+UNENCODABLE = ["kalé", "99999", "kalakalakalakala"]
+
+
+def emit(name: str, data: bytes) -> None:
+    print(name, hashlib.sha256(data).hexdigest(), flush=True)
+
+
+def cli_stdout(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue().encode("utf-8")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+
+        lexicon = generate_benchmark(seed=1).lexicon
+        for label, config in TRAINING_CONFIGS.items():
+            params, trace = train(lexicon, config)
+            path = tmp / f"{label}.ckpt"
+            save_checkpoint(path, params)
+            emit(f"train.{label}.checkpoint", path.read_bytes())
+            emit(f"train.{label}.trace", trace.to_tsv().encode("utf-8"))
+
+        model = load_checkpoint(CHECKPOINT)
+        for seed in range(3):
+            lines = []
+            for noisy, _ in generate_benchmark(seed=seed, test_size=1000).testset.entries:
+                try:
+                    lines.append(infer(model, prenormalize(noisy)))
+                except ValueError as exc:
+                    lines.append(f"error\t{type(exc).__name__}\t{exc}")
+            emit(f"infer.seed{seed}", "\n".join(lines).encode("utf-8"))
+
+        bench = generate_benchmark()
+        dict_path, test_path, input_path = tmp / "dictionary.tsv", tmp / "testset.tsv", tmp / "words.txt"
+        save_dictionary(bench.dictionary, dict_path)
+        save_test_set(bench.testset, test_path)
+        words = [noisy for noisy, _ in bench.testset.entries] + UNENCODABLE
+        input_path.write_text("".join(f"{w}\n" for w in words), encoding="utf-8")
+        common = ["--dict", str(dict_path), "--checkpoint", str(CHECKPOINT)]
+        for fmt in ("text", "structured"):
+            for setup in "1234":
+                emit(f"cli.normalize.setup{setup}.{fmt}", cli_stdout(
+                    ["normalize", "--input", str(input_path), "--setup", setup, "--format", fmt, *common]))
+            emit(f"cli.evaluate.all.{fmt}", cli_stdout(
+                ["evaluate", "--testset", str(test_path), "--setup", "all", "--format", fmt, *common]))
+
+
+if __name__ == "__main__":
+    main()
