@@ -13,6 +13,7 @@ phonetic misspellings the pipeline is meant to undo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -259,24 +260,52 @@ def random_word(
     return "".join(parts)
 
 
-def _word_space_size(
+def _word_shapes(
     min_syllables: int,
     max_syllables: int,
     coda_probability: float,
     consonants: str,
-) -> int:
-    """How many words random_word can draw that stay distinct under the
-    default equivalence classes.
+) -> list[tuple[float, int]]:
+    """(draw probability, distinct words) of each shape random_word draws,
+    a shape being a syllable count with or without a coda.
 
-    A word's syllable count and coda show in its length, and the classes map
-    single characters to single characters, so the distinct words are the
-    products of the distinct canonical letters at each position.
+    Distinct means distinct under the default equivalence classes. A word's
+    shape shows in its length, and the classes map single characters to
+    single characters, so the distinct words of a shape are the products of
+    the distinct canonical letters at each position. Shapes that are never
+    drawn (rng.random() < p is never true for p == 0 and always true for
+    p == 1) are left out.
     """
     c = len(set(canonicalize(consonants, DEFAULT_EQUIVALENCE_CLASSES)))
     v = len(set(canonicalize(_VOWELS, DEFAULT_EQUIVALENCE_CLASSES)))
-    # rng.random() < p is never true for p == 0 and always true for p == 1
-    codas = 1 if coda_probability == 0 else c if coda_probability == 1 else 1 + c
-    return sum((c * v) ** n * codas for n in range(min_syllables, max_syllables + 1))
+    counts = max_syllables - min_syllables + 1
+    shapes = []
+    for n in range(min_syllables, max_syllables + 1):
+        for p, size in ((1.0 - coda_probability, (c * v) ** n), (coda_probability, (c * v) ** n * c)):
+            if p > 0:
+                shapes.append((p / counts, size))
+    return shapes
+
+
+def _out_of_reach(dict_size: int, shapes: list[tuple[float, int]], draws: int) -> bool:
+    """Whether draws of random_word almost surely give fewer than dict_size
+    distinct words, although the shapes hold enough.
+
+    Group the rarest shapes: the others give at most their sizes in words, so
+    the group must be drawn at least `need` times. The chance of that is at
+    most e^-mu (e mu / need)^need for need > mu, the group's expected draw
+    count (a Chernoff bound). Out of reach means a chance below 2^-300: the
+    generator has fewer than 2^256 states, so even over all of them the
+    expected number of seeds turned away whose draws would have succeeded
+    stays below 2^-44.
+    """
+    shapes = sorted(shapes)
+    for j in range(1, len(shapes) + 1):
+        need = dict_size - sum(size for _, size in shapes[j:])
+        mu = draws * sum(p for p, _ in shapes[:j])
+        if need > mu and need * (1.0 + math.log(mu / need)) - mu < -300 * math.log(2):
+            return True
+    return False
 
 
 def native_form(word: str) -> str:
@@ -322,11 +351,19 @@ def generate_benchmark(
         )
     if not 0.0 <= coda_probability <= 1.0:
         raise ValueError(f"coda_probability must be in [0, 1] (got {coda_probability})")
-    space = _word_space_size(min_syllables, max_syllables, coda_probability, consonants)
+    shapes = _word_shapes(min_syllables, max_syllables, coda_probability, consonants)
+    space = sum(size for _, size in shapes)
     if dict_size > space:
         raise ValueError(
             f"word space too small for the requested dictionary size "
             f"({dict_size} requested, {space} distinct words)"
+        )
+    max_draws = 1000 * dict_size
+    if _out_of_reach(dict_size, shapes, max_draws):
+        raise ValueError(
+            f"word space out of reach for the requested dictionary size ({dict_size} "
+            f"requested; {max_draws} draws at coda probability {coda_probability} "
+            f"almost surely find fewer distinct words)"
         )
     rng = np.random.default_rng(seed)
     scaled = NoiseModel().scaled(noise_rate)
@@ -336,7 +373,7 @@ def generate_benchmark(
     attempts = 0
     while len(vocab) < dict_size:
         attempts += 1
-        if attempts > 1000 * dict_size:
+        if attempts > max_draws:
             raise ValueError("word space too small for the requested dictionary size")
         word = random_word(rng, min_syllables, max_syllables, coda_probability, consonants)
         key = canonicalize(word, DEFAULT_EQUIVALENCE_CLASSES)

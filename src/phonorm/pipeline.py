@@ -17,6 +17,7 @@ from .matcher import (
     MODIFIED,
     STANDARD,
     EquivalenceClasses,
+    MatchResult,
     best_match_pruned,
 )
 from .prenorm import prenormalize
@@ -109,15 +110,28 @@ def normalize(
     driven by degenerate decoder output. A word that pre-normalizes to
     nothing but whitespace has no answer and raises ValueError.
     """
+    return _normalize(word, dictionary, model, eq, mode, digit_table, {})
+
+
+def _normalize(
+    word: str,
+    dictionary: TransliterationDictionary,
+    model: ModelParams | None,
+    eq: EquivalenceClasses,
+    mode: str,
+    digit_table: dict[str, str] | None,
+    stages: dict[str, tuple[str, MatchResult]],
+) -> NormalizationResult:
+    """normalize, reusing the (first degree, match) that stages holds for the
+    pre-normalized word, or computing and adding it."""
     prenormalized = prenormalize(word, digit_table)
     if not prenormalized.strip():
         raise ValueError("empty word: nothing to normalize")
-    if model is not None:
-        first_degree = infer(model, prenormalized)
-    else:
-        first_degree = prenormalized
-    query = first_degree if first_degree else prenormalized
-    match = best_match_pruned(query, dictionary, mode=mode, eq=eq)
+    if prenormalized not in stages:
+        first_degree = infer(model, prenormalized) if model is not None else prenormalized
+        query = first_degree if first_degree else prenormalized
+        stages[prenormalized] = (first_degree, best_match_pruned(query, dictionary, mode=mode, eq=eq))
+    first_degree, match = stages[prenormalized]
     return NormalizationResult(
         input=word,
         prenormalized=prenormalized,
@@ -142,11 +156,20 @@ def normalize_batch(
 
     Per-word failures (e.g. characters outside the model's alphabet) become
     BatchError entries in their input position instead of aborting the batch.
+    Within one call each distinct word is normalized once, so identical words
+    share one result object (or one error message), and words that
+    pre-normalize alike share one decode and one match. Nothing is kept
+    across calls.
     """
+    done: dict[str, NormalizationResult | str] = {}
+    stages: dict[str, tuple[str, MatchResult]] = {}
     out: list[NormalizationResult | BatchError] = []
     for index, word in enumerate(words):
-        try:
-            out.append(normalize(word, dictionary, model, eq, mode, digit_table))
-        except (ValueError, KeyError) as exc:
-            out.append(BatchError(index=index, word=word, message=str(exc)))
+        if word not in done:
+            try:
+                done[word] = _normalize(word, dictionary, model, eq, mode, digit_table, stages)
+            except (ValueError, KeyError) as exc:
+                done[word] = str(exc)
+        result = done[word]
+        out.append(BatchError(index=index, word=word, message=result) if isinstance(result, str) else result)
     return out

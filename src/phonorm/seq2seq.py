@@ -143,7 +143,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, d, out=e)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -162,8 +163,8 @@ def lstm_step(
     """
     hdim = params.hidden_dim
     z = (params.w_x[x] if x.ndim == 1 else x @ params.w_x) + h_prev @ params.w_h + params.b
-    i = _sigmoid(z[:, :hdim])
-    f = _sigmoid(z[:, hdim : 2 * hdim])
+    i_f = _sigmoid(z[:, : 2 * hdim])
+    i, f = i_f[:, :hdim], i_f[:, hdim:]
     g = np.tanh(z[:, 2 * hdim : 3 * hdim])
     o = _sigmoid(z[:, 3 * hdim :])
     c = f * c_prev + i * g

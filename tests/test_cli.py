@@ -400,6 +400,25 @@ def test_generate_impossible_dictionary_size_is_data_error(capsys, tmp_path, dic
     assert not out_dir.exists()
 
 
+def test_generate_improbable_dictionary_size_is_data_error_without_drawing(capsys, tmp_path, monkeypatch):
+    # 9216 fits the two-syllable space, but 8192 of its words need a coda,
+    # which a 1e-9 coda probability almost never draws: the size is refused
+    # before the first draw instead of after 9,216,000 of them
+    import phonorm.evaluation
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a word")
+
+    monkeypatch.setattr(phonorm.evaluation, "random_word", no_draws)
+    out_dir = tmp_path / "bench"
+    code, out, err = run(capsys, ["generate", "--out-dir", str(out_dir),
+                                  "--coda-probability", "1e-9", "--dict-size", "9216"])
+    assert code == 4
+    assert out == ""
+    assert "error:" in err and "out of reach" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "args, field",
     [

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import phonorm.pipeline
 from phonorm.lexicon import TransliterationDictionary
 from phonorm.matcher import MODIFIED, STANDARD
 from phonorm.pipeline import BatchError, NormalizationResult, SetupId, normalize, normalize_batch
+from phonorm.prenorm import prenormalize
 
 
 def make_dict(standards):
@@ -137,3 +141,61 @@ def test_normalize_batch_empty_input():
 def test_normalize_rejects_empty_dictionary():
     with pytest.raises(ValueError):
         normalize("word", TransliterationDictionary(entries=()))
+
+
+# repeats, case and elongation variants that pre-normalize alike ("kaala",
+# "bodo"), a repeated word the model cannot encode and a repeated empty word
+REPEATS = ["kaala", "bodo", "kaaaaala", "", "BODO", "kalé", "kaala", "Kaala",
+           "bodo", "kalé", "", "mibu", "kaaala", "mibu"]
+REPEATS_DICT = ["kala", "bodo", "mibu", "kalo"]
+
+
+@pytest.mark.parametrize("with_model, mode", [(False, STANDARD), (True, MODIFIED)])
+def test_normalize_batch_with_repeats_equals_per_position_normalize(tiny_model, with_model, mode):
+    d = make_dict(REPEATS_DICT)
+    model = tiny_model if with_model else None
+    expected = []
+    for index, word in enumerate(REPEATS):
+        try:
+            expected.append(normalize(word, d, model=model, mode=mode))
+        except (ValueError, KeyError) as exc:
+            expected.append(BatchError(index=index, word=word, message=str(exc)))
+    batch = normalize_batch(REPEATS, d, model=model, mode=mode)
+    assert batch == expected
+    assert sum(isinstance(r, BatchError) for r in batch) == (4 if with_model else 2)
+
+
+def test_normalize_batch_decodes_and_matches_each_prenormalized_word_once(tiny_model, monkeypatch):
+    decoded, matched = Counter(), []
+    infer, best_match_pruned = phonorm.pipeline.infer, phonorm.pipeline.best_match_pruned
+
+    def counting_infer(model, word):
+        decoded[word] += 1
+        return infer(model, word)
+
+    def counting_match(query, dictionary, **kwargs):
+        matched.append(query)
+        return best_match_pruned(query, dictionary, **kwargs)
+
+    monkeypatch.setattr(phonorm.pipeline, "infer", counting_infer)
+    monkeypatch.setattr(phonorm.pipeline, "best_match_pruned", counting_match)
+    normalize_batch(REPEATS, make_dict(REPEATS_DICT), model=tiny_model)
+    prenormalized = {prenormalize(w) for w in REPEATS} - {""}
+    assert decoded == Counter(prenormalized)
+    # every distinct pre-normalized word but the unencodable "kalé" is matched
+    assert len(matched) == len(prenormalized) - 1
+
+
+def test_normalize_batch_shares_one_result_between_identical_words(tiny_model):
+    batch = normalize_batch(REPEATS, make_dict(REPEATS_DICT), model=tiny_model)
+    by_word = {}
+    for word, result in zip(REPEATS, batch):
+        if isinstance(result, NormalizationResult):
+            assert by_word.setdefault(word, result) is result
+    assert by_word.keys() == {"kaala", "bodo", "kaaaaala", "BODO", "Kaala", "kaaala", "mibu"}
+    # variants share the stages but keep their own input
+    assert by_word["Kaala"] is not by_word["kaala"]
+    assert by_word["Kaala"].first_degree == by_word["kaala"].first_degree
+    # errors stay per position
+    errors = [r for r in batch if isinstance(r, BatchError)]
+    assert [(e.index, e.word) for e in errors] == [(3, ""), (5, "kalé"), (9, "kalé"), (10, "")]

@@ -356,6 +356,23 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     assert _sigmoid(np.array([-1e4]))[0] == 0.0 and _sigmoid(np.array([1e4]))[0] == 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigmoid_matches_the_where_form_bit_for_bit():
+    # the form _sigmoid replaced: both branches divided, then one picked
+    def where_form(x):
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        return np.where(x >= 0, 1.0 / d, e / d)
+
+    edges = [0.0, 1e-300, 36.0, 745.0, np.inf]
+    sample = np.random.default_rng(12).normal(scale=10.0, size=(32, 256))
+    sample[0, : 2 * len(edges)] = edges + [-v for v in edges]
+    before = sample.copy()
+    for x in (sample, sample[:, :128], sample[3:5, 64:200]):
+        assert np.array_equal(_sigmoid(x).view(np.uint64), where_form(x).view(np.uint64))
+    assert np.array_equal(sample.view(np.uint64), before.view(np.uint64))
+
+
 def test_train_rejects_empty_lexicon():
     with pytest.raises(ValueError):
         train(ParallelLexicon(entries=()), TrainingConfig(epochs=1))

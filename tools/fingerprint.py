@@ -15,7 +15,11 @@ Each line is `<name> <sha256>`, covering:
   of generate_benchmark(seed=s, test_size=1000), s in 0-2;
 * cli.*: stdout of the in-process CLI for `normalize` under setups 1-4 and
   for `evaluate --setup all`, each in text and structured form, on
-  generate_benchmark()'s dictionary and test set with the same checkpoint.
+  generate_benchmark()'s dictionary and test set with the same checkpoint;
+* cli.normalize.repeats: the same CLI's `normalize` stdout under setups 2
+  and 4, text then structured, on an input that gives every test word twice
+  and once more as a variant (in capitals, or with a doubled letter
+  stretched to three), which pre-normalizes like the word itself.
 
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has. The script imports
@@ -31,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -54,6 +59,13 @@ TRAINING_CONFIGS = {
 # words the checkpoint cannot encode: a foreign character, a digit that
 # expands past max_len, and an overlong word
 UNENCODABLE = ["kalé", "99999", "kalakalakalakala"]
+
+
+def variant(index: int, word: str) -> str:
+    """word in capitals or, for every other word that has a doubled letter,
+    with the first one stretched to three."""
+    stretched = re.sub(r"([a-z])\1", r"\1\1\1", word, count=1)
+    return stretched if index % 2 and stretched != word else word.upper()
 
 
 def emit(name: str, data: bytes) -> None:
@@ -102,6 +114,13 @@ def main() -> None:
                     ["normalize", "--input", str(input_path), "--setup", setup, "--format", fmt, *common]))
             emit(f"cli.evaluate.all.{fmt}", cli_stdout(
                 ["evaluate", "--testset", str(test_path), "--setup", "all", "--format", fmt, *common]))
+
+        repeats_path = tmp / "repeats.txt"
+        repeats = words + [variant(i, w) for i, w in enumerate(words)] + words
+        repeats_path.write_text("".join(f"{w}\n" for w in repeats), encoding="utf-8")
+        emit("cli.normalize.repeats", b"".join(
+            cli_stdout(["normalize", "--input", str(repeats_path), "--setup", setup, "--format", fmt, *common])
+            for setup in "24" for fmt in ("text", "structured")))
 
 
 if __name__ == "__main__":
