@@ -69,16 +69,14 @@ class EvalReport:
         return self.exact_matches / self.total
 
 
-def _analyze(errors, dictionary: TransliterationDictionary) -> tuple[float, float]:
+def _analyze(errors) -> tuple[float, float]:
     """Split errors into out-of-vocabulary vs model deviations.
 
-    Returns (fraction of errors whose gold is missing from the dictionary,
-    mean standard edit distance between the first-degree output and the gold
-    over those OOV errors). No errors, or none OOV, yields (0.0, 0.0).
+    Returns (fraction of errors marked oov, mean standard edit distance
+    between the first-degree output and the gold over those OOV errors). No
+    errors, or none OOV, yields (0.0, 0.0).
     """
-    if not errors:
-        return 0.0, 0.0
-    oov = [e for e in errors if e.gold not in dictionary.standard_set]
+    oov = [e for e in errors if e.oov]
     if not oov:
         return 0.0, 0.0
     mean = sum(levenshtein(e.first_degree, e.gold) for e in oov) / len(oov)
@@ -129,7 +127,7 @@ def evaluate(
                     oov=gold not in dictionary.standard_set,
                 )
             )
-    oov_fraction, mean_distance = _analyze(errors, dictionary)
+    oov_fraction, mean_distance = _analyze(errors)
     return EvalReport(
         setup=setup,
         total=len(testset),

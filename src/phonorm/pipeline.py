@@ -11,13 +11,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .charcodec import EncodingError
 from .lexicon import TransliterationDictionary
 from .matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
     MODIFIED,
     STANDARD,
     EquivalenceClasses,
-    MatchResult,
     best_match_pruned,
 )
 from .prenorm import prenormalize
@@ -102,46 +102,15 @@ def normalize(
     mode: str = MODIFIED,
     digit_table: dict[str, str] | None = None,
 ) -> NormalizationResult:
-    """Normalize one word and report all intermediates.
+    """Normalize one word and report all intermediates: a batch of one.
 
-    Without a model (the no-first-degree ablations) the matcher query is the
-    pre-normalized word itself. If the model decodes to an empty string, the
-    pre-normalized form is matched instead so the final answer is never
-    driven by degenerate decoder output. A word that pre-normalizes to
-    nothing but whitespace has no answer and raises ValueError.
+    A word that normalize_batch turns into a BatchError raises ValueError
+    with the error's message.
     """
-    return _normalize(word, dictionary, model, eq, mode, digit_table, {})
-
-
-def _normalize(
-    word: str,
-    dictionary: TransliterationDictionary,
-    model: ModelParams | None,
-    eq: EquivalenceClasses,
-    mode: str,
-    digit_table: dict[str, str] | None,
-    stages: dict[str, tuple[str, MatchResult]],
-) -> NormalizationResult:
-    """normalize, reusing the (first degree, match) that stages holds for the
-    pre-normalized word, or computing and adding it."""
-    prenormalized = prenormalize(word, digit_table)
-    if not prenormalized.strip():
-        raise ValueError("empty word: nothing to normalize")
-    if prenormalized not in stages:
-        first_degree = infer(model, prenormalized) if model is not None else prenormalized
-        query = first_degree if first_degree else prenormalized
-        stages[prenormalized] = (first_degree, best_match_pruned(query, dictionary, mode=mode, eq=eq))
-    first_degree, match = stages[prenormalized]
-    return NormalizationResult(
-        input=word,
-        prenormalized=prenormalized,
-        first_degree=first_degree,
-        final=match.matched_standard,
-        distance=match.distance,
-        back_transliterations=dictionary.natives(match.matched_standard),
-        mode=mode,
-        setup=SetupId.of(model is not None, mode).label,
-    )
+    (result,) = normalize_batch([word], dictionary, model, eq, mode, digit_table)
+    if isinstance(result, BatchError):
+        raise ValueError(result.message)
+    return result
 
 
 def normalize_batch(
@@ -152,24 +121,52 @@ def normalize_batch(
     mode: str = MODIFIED,
     digit_table: dict[str, str] | None = None,
 ) -> list[NormalizationResult | BatchError]:
-    """Normalize many words, in order.
+    """Normalize many words, in order, one stage at a time.
 
-    Per-word failures (e.g. characters outside the model's alphabet) become
-    BatchError entries in their input position instead of aborting the batch.
-    Within one call each distinct word is normalized once, so identical words
-    share one result object (or one error message), and words that
-    pre-normalize alike share one decode and one match. Nothing is kept
-    across calls.
+    Each stage runs once per distinct input to it, in order of first
+    occurrence: pre-normalization once per word, the first degree once per
+    pre-normalized form, matching once per query. The query is the first
+    degree, or the form itself without a model or when the model decodes to
+    an empty string. Identical words share one result object. Nothing is
+    kept across calls.
+
+    A word's own fault (blank after pre-normalization, or not encodable by
+    the model) becomes a BatchError at each of its positions. A fault of the
+    call itself (an unknown mode, an empty dictionary) raises ValueError.
     """
-    done: dict[str, NormalizationResult | str] = {}
-    stages: dict[str, tuple[str, MatchResult]] = {}
-    out: list[NormalizationResult | BatchError] = []
-    for index, word in enumerate(words):
-        if word not in done:
-            try:
-                done[word] = _normalize(word, dictionary, model, eq, mode, digit_table, stages)
-            except (ValueError, KeyError) as exc:
-                done[word] = str(exc)
-        result = done[word]
-        out.append(BatchError(index=index, word=word, message=result) if isinstance(result, str) else result)
-    return out
+    setup = SetupId.of(model is not None, mode).label
+    if len(dictionary) == 0:
+        raise ValueError("cannot match against an empty dictionary")
+    words = list(words)
+    forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)}
+    first_degrees: dict[str, str] = {}
+    failures: dict[str, str] = {}  # form -> error message
+    for form in dict.fromkeys(forms.values()):
+        if not form.strip():
+            failures[form] = "empty word: nothing to normalize"
+            continue
+        try:
+            first_degrees[form] = infer(model, form) if model is not None else form
+        except EncodingError as exc:
+            failures[form] = str(exc)
+    queries = dict.fromkeys(first or form for form, first in first_degrees.items())
+    matches = {query: best_match_pruned(query, dictionary, mode=mode, eq=eq) for query in queries}
+    results: dict[str, NormalizationResult] = {}
+    for word, form in forms.items():
+        if form in first_degrees:
+            first = first_degrees[form]
+            match = matches[first or form]
+            results[word] = NormalizationResult(
+                input=word,
+                prenormalized=form,
+                first_degree=first,
+                final=match.matched_standard,
+                distance=match.distance,
+                back_transliterations=dictionary.natives(match.matched_standard),
+                mode=mode,
+                setup=setup,
+            )
+    return [
+        results[word] if word in results else BatchError(index, word, failures[forms[word]])
+        for index, word in enumerate(words)
+    ]

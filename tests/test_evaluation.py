@@ -94,6 +94,12 @@ def test_evaluate_validates_inputs():
         evaluate(TestSet(entries=(("a", "a"),)), None, d, setup=SetupId.SETUP_3)
 
 
+def test_evaluate_raises_for_an_empty_dictionary():
+    # every entry would fail alike, so it is the call that fails, not the entries
+    with pytest.raises(ValueError, match="empty dictionary"):
+        evaluate(TestSet(entries=(("a", "a"), ("b", "b"))), None, make_dict([]), setup=SetupId.SETUP_1)
+
+
 def test_evaluate_failures_score_as_wrong(zero_model):
     d = make_dict(["ab"])
     too_long = "ab" * (zero_model.max_len + 1)

@@ -143,10 +143,24 @@ def test_normalize_rejects_empty_dictionary():
         normalize("word", TransliterationDictionary(entries=()))
 
 
+@pytest.mark.parametrize("words", [["kala", "bodo"], []])
+def test_normalize_batch_raises_for_an_unknown_mode(words):
+    # a fault of the call, not of any word: it raises once instead of
+    # becoming a BatchError at every position
+    with pytest.raises(ValueError, match="mode"):
+        normalize_batch(words, make_dict(["kala", "bodo"]), mode="bogus")
+
+
+def test_normalize_batch_raises_for_an_empty_dictionary():
+    with pytest.raises(ValueError, match="empty dictionary"):
+        normalize_batch(["kala", "bodo"], TransliterationDictionary(entries=()))
+
+
 # repeats, case and elongation variants that pre-normalize alike ("kaala",
-# "bodo"), a repeated word the model cannot encode and a repeated empty word
+# "bodo"), a repeated word the model cannot encode and a variant of it
+# ("KALÉ"), and a repeated empty word
 REPEATS = ["kaala", "bodo", "kaaaaala", "", "BODO", "kalé", "kaala", "Kaala",
-           "bodo", "kalé", "", "mibu", "kaaala", "mibu"]
+           "bodo", "kalé", "", "mibu", "kaaala", "mibu", "KALÉ"]
 REPEATS_DICT = ["kala", "bodo", "mibu", "kalo"]
 
 
@@ -162,10 +176,11 @@ def test_normalize_batch_with_repeats_equals_per_position_normalize(tiny_model, 
             expected.append(BatchError(index=index, word=word, message=str(exc)))
     batch = normalize_batch(REPEATS, d, model=model, mode=mode)
     assert batch == expected
-    assert sum(isinstance(r, BatchError) for r in batch) == (4 if with_model else 2)
+    assert sum(isinstance(r, BatchError) for r in batch) == (5 if with_model else 2)
 
 
 def test_normalize_batch_decodes_and_matches_each_prenormalized_word_once(tiny_model, monkeypatch):
+    # a form that fails ("kalé", reached from "kalé" and "KALÉ") is tried once too
     decoded, matched = Counter(), []
     infer, best_match_pruned = phonorm.pipeline.infer, phonorm.pipeline.best_match_pruned
 
@@ -182,8 +197,10 @@ def test_normalize_batch_decodes_and_matches_each_prenormalized_word_once(tiny_m
     normalize_batch(REPEATS, make_dict(REPEATS_DICT), model=tiny_model)
     prenormalized = {prenormalize(w) for w in REPEATS} - {""}
     assert decoded == Counter(prenormalized)
-    # every distinct pre-normalized word but the unencodable "kalé" is matched
-    assert len(matched) == len(prenormalized) - 1
+    # one match per distinct query: the decode of every encodable form, or
+    # the form itself where the decode is empty
+    queries = {infer(tiny_model, form) or form for form in prenormalized - {"kalé"}}
+    assert Counter(matched) == Counter(queries)
 
 
 def test_normalize_batch_shares_one_result_between_identical_words(tiny_model):
@@ -198,4 +215,4 @@ def test_normalize_batch_shares_one_result_between_identical_words(tiny_model):
     assert by_word["Kaala"].first_degree == by_word["kaala"].first_degree
     # errors stay per position
     errors = [r for r in batch if isinstance(r, BatchError)]
-    assert [(e.index, e.word) for e in errors] == [(3, ""), (5, "kalé"), (9, "kalé"), (10, "")]
+    assert [(e.index, e.word) for e in errors] == [(3, ""), (5, "kalé"), (9, "kalé"), (10, ""), (14, "KALÉ")]
