@@ -44,6 +44,7 @@ from .seq2seq import (
     TrainingConfig,
     TrainingTrace,
     infer,
+    infer_batch,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -82,6 +83,7 @@ __all__ = [
     "expand_digits",
     "generate_benchmark",
     "infer",
+    "infer_batch",
     "levenshtein",
     "load_checkpoint",
     "load_dictionary",

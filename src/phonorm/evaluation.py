@@ -30,7 +30,7 @@ from .prenorm import prenormalize
 from .seq2seq import ModelParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorRecord:
     """A test entry whose final form differed from the gold standard."""
 
@@ -44,7 +44,7 @@ class ErrorRecord:
     oov: bool  # gold absent from the dictionary's standard forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailureRecord:
     """A test entry the pipeline could not process at all."""
 

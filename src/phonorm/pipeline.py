@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .charcodec import EncodingError
+from .charcodec import EncodingError, encode
 from .lexicon import TransliterationDictionary
 from .matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
@@ -21,7 +21,7 @@ from .matcher import (
     best_match_pruned,
 )
 from .prenorm import prenormalize
-from .seq2seq import ModelParams, infer
+from .seq2seq import ModelParams, infer_batch
 
 
 class SetupId(enum.Enum):
@@ -72,7 +72,8 @@ class NormalizationResult:
     """Every intermediate stage of normalizing one word.
 
     Slotted, and its strings and tuple are shared with the dictionary where
-    possible, because callers keep one result per word of their input.
+    possible, because callers keep one result per word of their input: a
+    prenormalized or first_degree equal to final is the final string object.
     """
 
     input: str
@@ -85,7 +86,7 @@ class NormalizationResult:
     setup: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchError:
     """A word that could not be normalized, kept in batch order."""
 
@@ -125,10 +126,11 @@ def normalize_batch(
 
     Each stage runs once per distinct input to it, in order of first
     occurrence: pre-normalization once per word, the first degree once per
-    pre-normalized form, matching once per query. The query is the first
-    degree, or the form itself without a model or when the model decodes to
-    an empty string. Identical words share one result object. Nothing is
-    kept across calls.
+    pre-normalized form (all encodable forms decoded in one infer_batch
+    call), matching once per query. The query is the first degree, or the
+    form itself without a model or when the model decodes to an empty
+    string. Identical words share one result object. Nothing is kept across
+    calls.
 
     A word's own fault (blank after pre-normalization, or not encodable by
     the model) becomes a BatchError at each of its positions. A fault of the
@@ -139,16 +141,21 @@ def normalize_batch(
         raise ValueError("cannot match against an empty dictionary")
     words = list(words)
     forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)}
-    first_degrees: dict[str, str] = {}
     failures: dict[str, str] = {}  # form -> error message
+    encodable = []
     for form in dict.fromkeys(forms.values()):
         if not form.strip():
             failures[form] = "empty word: nothing to normalize"
             continue
-        try:
-            first_degrees[form] = infer(model, form) if model is not None else form
-        except EncodingError as exc:
-            failures[form] = str(exc)
+        if model is not None:
+            try:
+                encode([form], model.source_alphabet, model.max_len)
+            except EncodingError as exc:
+                failures[form] = str(exc)
+                continue
+        encodable.append(form)
+    decoded = infer_batch(model, encodable) if model is not None else encodable
+    first_degrees = dict(zip(encodable, decoded))
     queries = dict.fromkeys(first or form for form, first in first_degrees.items())
     matches = {query: best_match_pruned(query, dictionary, mode=mode, eq=eq) for query in queries}
     results: dict[str, NormalizationResult] = {}
@@ -156,13 +163,14 @@ def normalize_batch(
         if form in first_degrees:
             first = first_degrees[form]
             match = matches[first or form]
+            final = match.matched_standard
             results[word] = NormalizationResult(
                 input=word,
-                prenormalized=form,
-                first_degree=first,
-                final=match.matched_standard,
+                prenormalized=final if form == final else form,
+                first_degree=final if first == final else first,
+                final=final,
                 distance=match.distance,
-                back_transliterations=dictionary.natives(match.matched_standard),
+                back_transliterations=dictionary.natives(final),
                 mode=mode,
                 setup=setup,
             )

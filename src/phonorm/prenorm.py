@@ -92,6 +92,8 @@ def prenormalize(s: str, table: dict[str, str] | None = None) -> str:
     """Lowercase, expand digits, then trim elongations.
 
     Digit expansion runs first so elongation trimming can also clean up any
-    runs that expansion introduces.
+    runs that expansion introduces. A word that is already normal comes back
+    as the same object, so callers that keep both hold one string.
     """
-    return trim_elongation(expand_digits(s.lower(), table))
+    out = trim_elongation(expand_digits(s.lower(), table))
+    return s if out == s else out

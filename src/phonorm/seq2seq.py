@@ -14,10 +14,12 @@ bit-identical parameters, checkpoints and decoded strings.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -564,29 +566,49 @@ def train(
 # inference
 
 
-def infer(params: ModelParams, word: str) -> str:
-    """Greedily decode the normalized form of one (pre-normalized) word.
+# rows decoded together: larger chunks run faster, but each row's states and
+# emitted symbols stay alive until its chunk is done
+DECODE_CHUNK_ROWS = 16
 
-    Feeds the start marker, then repeatedly takes the argmax symbol (lowest
-    index on ties) until the end marker or the step budget; emitted content is
-    capped at max_len characters so the result always re-encodes.
+
+def infer_batch(params: ModelParams, words: Sequence[str]) -> list[str]:
+    """Greedily decode the normalized form of each (pre-normalized) word, in order.
+
+    Encodes the words (raising EncodingError for the first that does not
+    fit), then decodes them DECODE_CHUNK_ROWS rows at a time: each chunk
+    feeds the start marker, then repeatedly takes the argmax symbol (lowest
+    index on ties) until every row has emitted the end marker or the step
+    budget runs out. A row that ends early keeps stepping with its chunk,
+    and its string stops at its first end marker. Emitted content is capped
+    at max_len characters so the result always re-encodes.
     """
-    # the encoder keeps only its states: inference needs no training caches
-    src = encode([word], params.source_alphabet, params.max_len)
-    zeros = np.zeros((1, params.hidden_dim))
-    states = [(zeros, zeros)] * params.num_layers
-    for t in range(src.shape[1]):
-        _, states, _ = _step(params.encoder, src[:, t], states)
+    src = encode(words, params.source_alphabet, params.max_len)
     target = params.target_alphabet
-    x = np.array([target.start_index])
-    emitted = []
-    for _ in range(params.max_len + 2):
-        probs, states = decode_step(x, states, params)
-        x = probs.argmax(axis=1)
-        emitted.append(x[0])
-        if x[0] == target.end_index:
-            break
-    return decode(emitted, target)[: params.max_len]
+    decoded = []
+    for start in range(0, len(src), DECODE_CHUNK_ROWS):
+        chunk = src[start : start + DECODE_CHUNK_ROWS]
+        # the encoder keeps only its states: inference needs no training caches
+        zeros = np.zeros((len(chunk), params.hidden_dim))
+        states = [(zeros, zeros)] * params.num_layers
+        for t in range(chunk.shape[1]):
+            _, states, _ = _step(params.encoder, chunk[:, t], states)
+        x = np.full(len(chunk), target.start_index)
+        ended = np.zeros(len(chunk), dtype=bool)
+        emitted = []
+        for _ in range(params.max_len + 2):
+            probs, states = decode_step(x, states, params)
+            x = probs.argmax(axis=1)
+            emitted.append(x)
+            ended |= x == target.end_index
+            if ended.all():
+                break
+        decoded.extend(decode(row, target)[: params.max_len] for row in np.stack(emitted, axis=1))
+    return decoded
+
+
+def infer(params: ModelParams, word: str) -> str:
+    """Greedily decode one (pre-normalized) word, as infer_batch of a batch of one."""
+    return infer_batch(params, [word])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -619,20 +641,29 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read back a checkpoint written by save_checkpoint."""
-    data = Path(path).read_bytes()
+    """Read back a checkpoint written by save_checkpoint.
+
+    The tensor bytes are read straight into one aligned float64 array, and
+    each tensor is a writable view into it.
+    """
+    with open(path, "rb") as fh:
+        return _read_checkpoint(path, fh)
+
+
+def _read_checkpoint(path, fh) -> ModelParams:
+    size = os.fstat(fh.fileno()).st_size
     prefix = CHECKPOINT_MAGIC + b"\n"
-    if not data.startswith(prefix):
+    if fh.read(len(prefix)) != prefix:
         raise CheckpointError(f"{path}: not a model checkpoint")
     offset = len(prefix)
-    if len(data) < offset + 8:
+    if size < offset + 8:
         raise CheckpointError(f"{path}: truncated header")
-    (header_len,) = struct.unpack_from("<Q", data, offset)
+    (header_len,) = struct.unpack("<Q", fh.read(8))
     offset += 8
-    if len(data) < offset + header_len:
+    if size < offset + header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(data[offset : offset + header_len].decode("ascii"))
+        header = json.loads(fh.read(header_len).decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
@@ -675,17 +706,23 @@ def load_checkpoint(path) -> ModelParams:
                 f"{path}: tensor {name} has shape {shape}, expected {expected[name]}"
             )
 
+    counts = [math.prod(shape) for _, shape in manifest]
+    # the file holds little-endian float64; room for no more than it has, so
+    # a truncated file fails below instead of asking for its declared size
+    flat = np.empty(min(sum(counts), (size - offset) // 8))
+    stored = fh.readinto(memoryview(flat).cast("B"))
+    if sys.byteorder != "little":
+        flat.byteswap(inplace=True)
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if len(data) < offset + nbytes:
+    start = 0
+    for (name, shape), count in zip(manifest, counts):
+        if stored < 8 * (start + count):
             raise CheckpointError(f"{path}: truncated tensor data for {name}")
-        flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        if not np.isfinite(flat).all():
+        tensor = flat[start : start + count]
+        if not np.isfinite(tensor).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-        tensors[name] = flat.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after tensor data")
+        tensors[name] = tensor.reshape(shape)
+        start += count
+    if size > offset + 8 * start:
+        raise CheckpointError(f"{path}: {size - offset - 8 * start} trailing bytes after tensor data")
     return ModelParams(source_alphabet, target_alphabet, max_len, tensors)

@@ -11,6 +11,7 @@ from phonorm.lexicon import TransliterationDictionary
 from phonorm.matcher import MODIFIED, STANDARD
 from phonorm.pipeline import BatchError, NormalizationResult, SetupId, normalize, normalize_batch
 from phonorm.prenorm import prenormalize
+from phonorm.seq2seq import infer
 
 
 def make_dict(standards):
@@ -42,7 +43,6 @@ def test_normalize_digit_expansion_reaches_matching():
 
 def test_normalize_with_model_uses_decoder_output(tiny_model):
     from phonorm.matcher import best_match_pruned
-    from phonorm.seq2seq import infer
 
     d = make_dict(["kala", "bodo"])
     result = normalize("kaLa", d, model=tiny_model, mode=MODIFIED)
@@ -180,27 +180,49 @@ def test_normalize_batch_with_repeats_equals_per_position_normalize(tiny_model, 
 
 
 def test_normalize_batch_decodes_and_matches_each_prenormalized_word_once(tiny_model, monkeypatch):
-    # a form that fails ("kalé", reached from "kalé" and "KALÉ") is tried once too
-    decoded, matched = Counter(), []
-    infer, best_match_pruned = phonorm.pipeline.infer, phonorm.pipeline.best_match_pruned
+    # one decoder call gets every encodable form once, in first-occurrence
+    # order; a form that fails ("kalé", reached from "kalé" and "KALÉ") is
+    # tried once and never decoded
+    decoder_calls, matched = [], []
+    infer_batch, best_match_pruned = phonorm.pipeline.infer_batch, phonorm.pipeline.best_match_pruned
 
-    def counting_infer(model, word):
-        decoded[word] += 1
-        return infer(model, word)
+    def counting_infer_batch(model, words):
+        decoder_calls.append(list(words))
+        return infer_batch(model, words)
 
     def counting_match(query, dictionary, **kwargs):
         matched.append(query)
         return best_match_pruned(query, dictionary, **kwargs)
 
-    monkeypatch.setattr(phonorm.pipeline, "infer", counting_infer)
+    monkeypatch.setattr(phonorm.pipeline, "infer_batch", counting_infer_batch)
     monkeypatch.setattr(phonorm.pipeline, "best_match_pruned", counting_match)
     normalize_batch(REPEATS, make_dict(REPEATS_DICT), model=tiny_model)
-    prenormalized = {prenormalize(w) for w in REPEATS} - {""}
-    assert decoded == Counter(prenormalized)
+    forms = [form for form in dict.fromkeys(prenormalize(w) for w in REPEATS) if form not in ("", "kalé")]
+    assert decoder_calls == [forms]
+    assert "kalé" not in decoder_calls[0]
     # one match per distinct query: the decode of every encodable form, or
     # the form itself where the decode is empty
-    queries = {infer(tiny_model, form) or form for form in prenormalized - {"kalé"}}
+    queries = {first or form for form, first in zip(forms, infer_batch(tiny_model, forms))}
     assert Counter(matched) == Counter(queries)
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_results_reuse_the_matched_standard_string(tiny_model, with_model):
+    # callers keep one result per word, so a stage equal to the match is
+    # that very string, not a copy of it
+    word = "".join(["ka", "la"])
+    assert prenormalize(word) is word
+    model = tiny_model if with_model else None
+    # a standard that the model's first degree equals (each decode is a new string)
+    batch = normalize_batch(REPEATS, make_dict([*REPEATS_DICT, infer(tiny_model, "bodo")]), model=model)
+    shared = 0
+    for r in batch:
+        if isinstance(r, NormalizationResult):
+            for stage in (r.prenormalized, r.first_degree):
+                if stage == r.final:
+                    assert stage is r.final
+                    shared += 1
+    assert shared
 
 
 def test_normalize_batch_shares_one_result_between_identical_words(tiny_model):

@@ -9,16 +9,18 @@ import struct
 import numpy as np
 import pytest
 
-from phonorm.charcodec import SOURCE, TARGET, build_alphabet
+from phonorm.charcodec import SOURCE, TARGET, build_alphabet, encode
 from phonorm.lexicon import ParallelLexicon
 from phonorm.seq2seq import (
     CHECKPOINT_MAGIC,
+    DECODE_CHUNK_ROWS,
     CheckpointError,
     LstmLayerParams,
     TrainingConfig,
     batch_loss,
     decode_step,
     infer,
+    infer_batch,
     init_model_params,
     load_checkpoint,
     loss_and_gradients,
@@ -26,6 +28,7 @@ from phonorm.seq2seq import (
     prepare_batch,
     _expected_shapes,
     _run,
+    _step,
     _sigmoid,
     save_checkpoint,
     train,
@@ -137,6 +140,49 @@ def test_greedy_decodes_of_a_seeded_random_model_are_pinned():
         "abcdefgh": "ebakkk", "shanti": "asauas", "qwerty": "bk",
     }
     assert {word: infer(params, word) for word in golden} == golden
+
+
+def _first_end_step(params, word):
+    """The decoder step at which word's greedy decode first emits the end marker, or None."""
+    src = encode([word], params.source_alphabet, params.max_len)
+    zeros = np.zeros((1, params.hidden_dim))
+    states = [(zeros, zeros)] * params.num_layers
+    for t in range(src.shape[1]):
+        _, states, _ = _step(params.encoder, src[:, t], states)
+    x = np.array([params.target_alphabet.start_index])
+    for step in range(params.max_len + 2):
+        probs, states = decode_step(x, states, params)
+        x = probs.argmax(axis=1)
+        if x[0] == params.target_alphabet.end_index:
+            return step
+    return None
+
+
+def test_batched_and_single_decodes_agree(zero_model):
+    # 37 words make chunks of 16, 16 and 5 rows
+    assert DECODE_CHUNK_ROWS == 16
+    rng = np.random.default_rng(0)
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    words = ["".join(rng.choice(letters, size=rng.integers(0, 9))) for _ in range(37)]
+    # the pinned model above, pushed toward the end marker so that its rows
+    # end at different steps or never
+    source = build_alphabet(letters, SOURCE)
+    target = build_alphabet(["abdegiklmnostu"], TARGET)
+    params = init_model_params(
+        source, target, max_len=8, hidden_dim=8, num_layers=2,
+        rng=np.random.default_rng(1), init_scale=3.0,
+    )
+    params.b_out[target.end_index] += 6.0
+    end_steps = {_first_end_step(params, word) for word in words}
+    assert None in end_steps and len(end_steps - {None}) >= 3
+    # the zero model with "a" favoured never emits the end marker
+    zero_model.b_out[zero_model.target_alphabet.index_of("a")] = 1.0
+    zero_words = ["".join(rng.choice(list("abc"), size=rng.integers(0, 7))) for _ in range(37)]
+    for model, batch in ((params, words), (zero_model, zero_words)):
+        single = [infer(model, word) for word in batch]
+        assert infer_batch(model, batch) == single
+        assert infer_batch(model, batch[::-1]) == single[::-1]
+    assert {infer(zero_model, word) for word in zero_words} == {"a" * zero_model.max_len}
 
 
 def test_decode_step_is_a_distribution(zero_model):
@@ -418,6 +464,21 @@ def test_checkpoint_round_trip(tmp_path):
         assert infer(loaded, word) == infer(params, word)
     # loaded tensors must be writable (training could resume on them)
     loaded.b_out[0] = 1.0
+
+
+def test_loaded_tensors_are_aligned_writable_float64_arrays(tmp_path):
+    params = tiny_params(seed=21)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    loaded = load_checkpoint(path)
+    for tensor in loaded.tensors.values():
+        assert tensor.dtype == np.float64 and tensor.dtype.isnative
+        assert tensor.flags.aligned and tensor.flags.c_contiguous and tensor.flags.writeable
+    # an in-place write to a loaded tensor is a write to the model
+    favoured = "a" * loaded.max_len
+    assert infer(loaded, "cab") != favoured
+    loaded.tensors["out.b"][loaded.target_alphabet.index_of("a")] = 1e3
+    assert infer(loaded, "cab") == favoured
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
