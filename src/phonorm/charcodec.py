@@ -139,14 +139,17 @@ def decode(indices: Sequence[int], alphabet: Alphabet) -> str:
     Pad (and the target-side start marker) are skipped; the end marker stops
     decoding. Out-of-range indices are errors.
     """
+    # each of these properties builds its value anew, so read them once
+    size, symbols, end = alphabet.size, alphabet.symbols, alphabet.end_index
+    skipped = (alphabet.pad_index, alphabet.start_index)
     chars = []
     for index in indices:
         i = int(index)
-        if not 0 <= i < alphabet.size:
-            raise EncodingError(f"index {i} out of range for alphabet of size {alphabet.size}")
-        if i == alphabet.pad_index or i == alphabet.start_index:
+        if not 0 <= i < size:
+            raise EncodingError(f"index {i} out of range for alphabet of size {size}")
+        if i in skipped:
             continue
-        if i == alphabet.end_index:
+        if i == end:
             break
-        chars.append(alphabet.symbols[i])
+        chars.append(symbols[i])
     return "".join(chars)

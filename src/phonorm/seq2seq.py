@@ -31,6 +31,12 @@ from .prenorm import prenormalize
 CHECKPOINT_MAGIC = b"phonorm-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# the largest max_len a model may have: encode allocates max_len columns per
+# word and the decoder runs up to max_len + 2 steps, so a checkpoint header
+# declaring more is refused at load instead of exhausting memory on its
+# first word
+MAX_LEN_LIMIT = 1024
+
 
 class CheckpointError(ValueError):
     """Raised when a checkpoint file cannot be read back."""
@@ -130,6 +136,8 @@ def init_model_params(
         raise ValueError("need at least one layer")
     if max_len < 1:
         raise ValueError("max_len must be positive")
+    if max_len > MAX_LEN_LIMIT:
+        raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT} (got {max_len})")
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be positive")
     shapes = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
@@ -566,9 +574,14 @@ def train(
 # inference
 
 
-# rows decoded together: larger chunks run faster, but each row's states and
-# emitted symbols stay alive until its chunk is done
-DECODE_CHUNK_ROWS = 16
+# rows decoded together. A step is mostly two (rows, hidden) x (hidden,
+# 4 * hidden) float64 products per layer, cheaper per row on more rows, but
+# the benchmark's callers keep a result per word, so their peak memory grows
+# with throughput. Against 16 rows, in 25-s batch_model_200 runs, 32 rows
+# (finished rows dropped) gave +26 and +28% words/s at +3.5 and +5.0% peak
+# RSS, medians of ten pairs on each of two seeds; 64 rows gave +36 and +58%
+# at +8.4 and +11.2%, past that metric's 10% bound
+DECODE_CHUNK_ROWS = 32
 
 
 def infer_batch(params: ModelParams, words: Sequence[str]) -> list[str]:
@@ -577,13 +590,14 @@ def infer_batch(params: ModelParams, words: Sequence[str]) -> list[str]:
     Encodes the words (raising EncodingError for the first that does not
     fit), then decodes them DECODE_CHUNK_ROWS rows at a time: each chunk
     feeds the start marker, then repeatedly takes the argmax symbol (lowest
-    index on ties) until every row has emitted the end marker or the step
-    budget runs out. A row that ends early keeps stepping with its chunk,
-    and its string stops at its first end marker. Emitted content is capped
-    at max_len characters so the result always re-encodes.
+    index on ties). A row that emits the end marker leaves its chunk, so
+    each step runs only the rows still live, until none is or the step
+    budget runs out. Emitted content is capped at max_len characters so the
+    result always re-encodes.
     """
     src = encode(words, params.source_alphabet, params.max_len)
     target = params.target_alphabet
+    steps = params.max_len + 2
     decoded = []
     for start in range(0, len(src), DECODE_CHUNK_ROWS):
         chunk = src[start : start + DECODE_CHUNK_ROWS]
@@ -592,17 +606,21 @@ def infer_batch(params: ModelParams, words: Sequence[str]) -> list[str]:
         states = [(zeros, zeros)] * params.num_layers
         for t in range(chunk.shape[1]):
             _, states, _ = _step(params.encoder, chunk[:, t], states)
+        # a row's symbols after its end marker stay pads, which decode skips
+        emitted = np.full((len(chunk), steps), target.pad_index)
+        live = np.arange(len(chunk))
         x = np.full(len(chunk), target.start_index)
-        ended = np.zeros(len(chunk), dtype=bool)
-        emitted = []
-        for _ in range(params.max_len + 2):
+        for step in range(steps):
             probs, states = decode_step(x, states, params)
             x = probs.argmax(axis=1)
-            emitted.append(x)
-            ended |= x == target.end_index
-            if ended.all():
-                break
-        decoded.extend(decode(row, target)[: params.max_len] for row in np.stack(emitted, axis=1))
+            emitted[live, step] = x
+            going = x != target.end_index
+            if not going.all():
+                live, x = live[going], x[going]
+                if not live.size:
+                    break
+                states = [(h[going], c[going]) for h, c in states]
+        decoded.extend(decode(row, target)[: params.max_len] for row in emitted)
     return decoded
 
 
@@ -696,6 +714,8 @@ def _read_checkpoint(path, fh) -> ModelParams:
             f"{path}: hidden_dim, num_layers and max_len must be positive "
             f"(got {hidden_dim}, {num_layers}, {max_len})"
         )
+    if max_len > MAX_LEN_LIMIT:
+        raise CheckpointError(f"{path}: max_len must be at most {MAX_LEN_LIMIT} (got {max_len})")
 
     expected = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     if [name for name, _ in manifest] != list(expected):

@@ -113,12 +113,50 @@ def test_decode_stops_at_end_marker():
     a, b = ab.index_of("a"), ab.index_of("b")
     assert decode([1, a, 2, b], ab) == "a"
     assert decode([a, 0, b], ab) == "ab"  # bare pads are skipped, not terminal
+    # start markers and pads in mid-row are skipped too; only the end marker stops
+    assert decode([a, 1, 0, b, 1, 2, a, 2], ab) == "ab"
+    assert decode(np.array([0, 0, a, 2, 99]), ab) == "a"
 
 
 def test_decode_rejects_out_of_range():
     ab = build_alphabet(["ab"], TARGET)
-    with pytest.raises(ValueError):
+    with pytest.raises(EncodingError, match=r"^index 99 out of range for alphabet of size 5$"):
         decode([99], ab)
+    with pytest.raises(EncodingError, match=r"^index -1 out of range for alphabet of size 5$"):
+        decode(np.array([3, -1]), ab)
+
+
+def test_decode_of_a_source_row_reads_indices_1_and_2_as_content():
+    # the source side has a pad but no start or end marker
+    ab = build_alphabet(["abc"], SOURCE)
+    assert decode([1, 0, 2, 3, 0], ab) == "abc"
+    assert decode(np.array([26, 2, 1]), ab) == "zba"
+    with pytest.raises(EncodingError, match=r"^index 27 out of range for alphabet of size 27$"):
+        decode([27], ab)
+
+
+def _reference_decode(indices, alphabet):
+    """decode written as a loop over the Alphabet properties, the oracle."""
+    chars = []
+    for index in indices:
+        i = int(index)
+        if not 0 <= i < alphabet.size:
+            raise EncodingError(f"index {i} out of range for alphabet of size {alphabet.size}")
+        if i == alphabet.pad_index or i == alphabet.start_index:
+            continue
+        if i == alphabet.end_index:
+            break
+        chars.append(alphabet.symbols[i])
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("corpus, side", [("abc", SOURCE), ("abcé", SOURCE), ("abcé", TARGET)])
+def test_decode_equals_the_reference_on_random_rows(corpus, side):
+    ab = build_alphabet([corpus], side)
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        row = rng.integers(0, ab.size, size=int(rng.integers(0, 12)))
+        assert decode(row, ab) == decode(row.tolist(), ab) == _reference_decode(row, ab)
 
 
 def test_source_alphabet_has_no_marker_symbols():

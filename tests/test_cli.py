@@ -11,7 +11,7 @@ from phonorm.cli import main
 from phonorm.lexicon import load_dictionary, load_parallel_lexicon, load_test_set
 from phonorm.matcher import load_equivalence_classes
 from phonorm.prenorm import DEFAULT_DIGIT_PHONES, load_digit_table
-from phonorm.seq2seq import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from phonorm.seq2seq import CHECKPOINT_MAGIC, MAX_LEN_LIMIT, load_checkpoint, save_checkpoint
 
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
 LEXICON_WORDS = ["kala", "bodo", "gato", "kolo", "sela", "mibu", "lodi", "tabe"]
@@ -234,6 +234,46 @@ def test_normalize_checkpoint_dimension_not_an_integer_is_data_error(
     assert code == 4
     assert out == ""
     assert "error:" in err and "malformed header" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_len", [MAX_LEN_LIMIT + 1, 10**12])
+def test_normalize_checkpoint_max_len_above_the_limit_is_data_error(workspace, capsys, tmp_path, max_len):
+    # every other header field stays valid; the tensor shapes do not depend on max_len
+    data = (workspace / "model.ckpt").read_bytes()
+    offset = len(CHECKPOINT_MAGIC) + 1
+    (header_len,) = struct.unpack_from("<Q", data, offset)
+    header = json.loads(data[offset + 8 : offset + 8 + header_len])
+    header["max_len"] = max_len
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[:offset] + struct.pack("<Q", len(blob)) + blob + data[offset + 8 + header_len :])
+    code, out, err = run(
+        capsys,
+        ["normalize", "--dict", str(workspace / "dict.tsv"), "--checkpoint", str(bad), "--setup", "4", "abc"],
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and f"max_len must be at most {MAX_LEN_LIMIT}" in err
+    assert "Traceback" not in err
+
+
+def test_train_rejects_a_lexicon_longer_than_the_max_len_limit(capsys, tmp_path):
+    # so every checkpoint that train writes loads
+    lexicon = tmp_path / "lexicon.tsv"
+    long_word = "ab" * (MAX_LEN_LIMIT // 2) + "a"
+    lexicon.write_text(f"kala\tkala\n{long_word}\tkala\n", encoding="utf-8")
+    checkpoint = tmp_path / "out" / "m.ckpt"
+    checkpoint.parent.mkdir()
+    code, out, err = run(
+        capsys,
+        ["train", "--lexicon", str(lexicon), "--checkpoint", str(checkpoint),
+         "--epochs", "1", "--hidden-dim", "8"],
+    )
+    assert code == 4
+    assert err.startswith("error:") and f"max_len must be at most {MAX_LEN_LIMIT}" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(checkpoint.parent.iterdir()) == []
 
 
 def test_normalize_model_setup_requires_checkpoint(workspace):

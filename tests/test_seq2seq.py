@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phonorm.charcodec import SOURCE, TARGET, build_alphabet, encode
+from phonorm.charcodec import SOURCE, TARGET, EncodingError, build_alphabet, encode
+from phonorm.evaluation import generate_benchmark
 from phonorm.lexicon import ParallelLexicon
+from phonorm.prenorm import prenormalize
 from phonorm.seq2seq import (
     CHECKPOINT_MAGIC,
     DECODE_CHUNK_ROWS,
+    MAX_LEN_LIMIT,
     CheckpointError,
     LstmLayerParams,
     TrainingConfig,
@@ -159,11 +163,11 @@ def _first_end_step(params, word):
 
 
 def test_batched_and_single_decodes_agree(zero_model):
-    # 37 words make chunks of 16, 16 and 5 rows
-    assert DECODE_CHUNK_ROWS == 16
+    # two full chunks and a partial one
+    count = 2 * DECODE_CHUNK_ROWS + 5
     rng = np.random.default_rng(0)
     letters = list("abcdefghijklmnopqrstuvwxyz")
-    words = ["".join(rng.choice(letters, size=rng.integers(0, 9))) for _ in range(37)]
+    words = ["".join(rng.choice(letters, size=rng.integers(0, 9))) for _ in range(count)]
     # the pinned model above, pushed toward the end marker so that its rows
     # end at different steps or never
     source = build_alphabet(letters, SOURCE)
@@ -177,12 +181,31 @@ def test_batched_and_single_decodes_agree(zero_model):
     assert None in end_steps and len(end_steps - {None}) >= 3
     # the zero model with "a" favoured never emits the end marker
     zero_model.b_out[zero_model.target_alphabet.index_of("a")] = 1.0
-    zero_words = ["".join(rng.choice(list("abc"), size=rng.integers(0, 7))) for _ in range(37)]
+    zero_words = ["".join(rng.choice(list("abc"), size=rng.integers(0, 7))) for _ in range(count)]
     for model, batch in ((params, words), (zero_model, zero_words)):
         single = [infer(model, word) for word in batch]
         assert infer_batch(model, batch) == single
         assert infer_batch(model, batch[::-1]) == single[::-1]
     assert {infer(zero_model, word) for word in zero_words} == {"a" * zero_model.max_len}
+
+
+def test_batched_and_single_decodes_agree_on_the_benchmark_checkpoint():
+    # the committed benchmark model, read only, on the pre-normalized test
+    # inputs it can encode: in order, reversed and shuffled
+    params = load_checkpoint(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "model.ckpt")
+    words = []
+    for noisy, _ in generate_benchmark(seed=7).testset.entries:
+        word = prenormalize(noisy)
+        try:
+            encode([word], params.source_alphabet, params.max_len)
+        except EncodingError:
+            continue
+        words.append(word)
+    assert len(words) >= 3 * DECODE_CHUNK_ROWS
+    single = {word: infer(params, word) for word in words}
+    shuffled = [words[i] for i in np.random.default_rng(3).permutation(len(words))]
+    for batch in (words, words[::-1], shuffled):
+        assert infer_batch(params, batch) == [single[word] for word in batch]
 
 
 def test_decode_step_is_a_distribution(zero_model):
@@ -514,15 +537,9 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize(
-    "dims",
-    [{"max_len": 0}, {"max_len": -3}, {"hidden_dim": 0}, {"num_layers": 0}],
-)
-def test_checkpoint_rejects_nonpositive_dimensions(tmp_path, dims):
-    # rewrite a saved header so that everything but the dimension checks is
-    # consistent: the manifest and tensor bytes follow the new dimensions
-    params = tiny_params()
-    path = tmp_path / "model.ckpt"
+def _rewrite_dimensions(path, params, dims):
+    """Save params to path with dims in its header, and everything but the
+    dimension checks consistent: the manifest and tensor bytes follow them."""
     save_checkpoint(path, params)
     data = path.read_bytes()
     offset = len(CHECKPOINT_MAGIC) + 1
@@ -541,8 +558,41 @@ def test_checkpoint_rejects_nonpositive_dimensions(tmp_path, dims):
     path.write_bytes(
         CHECKPOINT_MAGIC + b"\n" + struct.pack("<Q", len(blob)) + blob + bytes(8 * count)
     )
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [{"max_len": 0}, {"max_len": -3}, {"hidden_dim": 0}, {"num_layers": 0}],
+)
+def test_checkpoint_rejects_nonpositive_dimensions(tmp_path, dims):
+    path = tmp_path / "model.ckpt"
+    _rewrite_dimensions(path, tiny_params(), dims)
     with pytest.raises(CheckpointError, match="must be positive"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("max_len", [MAX_LEN_LIMIT + 1, 10**6, 10**12])
+def test_checkpoint_rejects_max_len_above_the_limit(tmp_path, max_len):
+    path = tmp_path / "model.ckpt"
+    _rewrite_dimensions(path, tiny_params(), {"max_len": max_len})
+    with pytest.raises(CheckpointError, match=f"max_len must be at most {MAX_LEN_LIMIT} "):
+        load_checkpoint(path)
+    # the limit itself loads and decodes
+    _rewrite_dimensions(path, tiny_params(), {"max_len": MAX_LEN_LIMIT})
+    assert infer(load_checkpoint(path), "abc") == ""
+
+
+def test_init_and_train_reject_max_len_above_the_limit():
+    source = build_alphabet(["abc"], SOURCE)
+    target = build_alphabet(["abc"], TARGET)
+    with pytest.raises(ValueError, match=f"max_len must be at most {MAX_LEN_LIMIT} "):
+        init_model_params(source, target, max_len=MAX_LEN_LIMIT + 1, hidden_dim=2, num_layers=1,
+                          rng=np.random.default_rng(0))
+    # a training word of MAX_LEN_LIMIT + 1 characters after pre-normalization
+    long_word = "ab" * (MAX_LEN_LIMIT // 2) + "a"
+    lexicon = ParallelLexicon(entries=(("ab", "ab"), (long_word, "ab")))
+    with pytest.raises(ValueError, match=f"max_len must be at most {MAX_LEN_LIMIT} "):
+        train(lexicon, TrainingConfig(epochs=1, hidden_dim=2))
 
 
 @pytest.mark.parametrize("name, value", [("out.w", np.nan), ("out.b", np.inf), ("enc0.w_x", -np.inf)])
