@@ -31,6 +31,7 @@ from .matcher import (
     MatchResult,
     best_match,
     best_match_pruned,
+    best_matches,
     canonicalize,
     levenshtein,
     modified_levenshtein,
@@ -75,6 +76,7 @@ __all__ = [
     "TransliterationDictionary",
     "best_match",
     "best_match_pruned",
+    "best_matches",
     "build_alphabet",
     "canonicalize",
     "decode",

@@ -11,12 +11,14 @@ plain distance between the canonicalized strings, computed by the same
 dynamic program.
 
 best_match is the reference: it scans every standard with the pure-Python
-dynamic program. best_match_pruned returns the identical result. It answers a
-query equal to a standard from the dictionary's hash of its raw standards,
-and runs any other query through the same dynamic program over all
-canonicalized standards at once, one numpy step per query character, on an
-index built once per (dictionary, canonicalization) and kept on the
-dictionary.
+dynamic program. best_matches returns the identical result for each query of
+a list, in input order, and best_match_pruned is best_matches of a batch of
+one. A query equal to a standard is answered from the dictionary's hash of
+its raw standards. All other queries of a call go through one kernel: the
+same dynamic program, column by column, over a stacked (queries, standards)
+plane, on an index built once per (dictionary, canonicalization) and kept on
+the dictionary. The kernel takes at most MATCH_CHUNK_CELLS query x standard
+pairs per pass, so its scratch memory per pass is bounded whatever the call.
 """
 
 from __future__ import annotations
@@ -188,47 +190,64 @@ def _code_points(s: str) -> np.ndarray:
 class _Index:
     """One dictionary's standards, prepared for matching under one canonicalization.
 
-    codes[k] holds the code points of canonicalized standard k, padded to
-    the longest standard; the padding is never read, because cell (i, j) of
-    the dynamic program reads codes[k, :j] only.
+    columns[j] holds code point j of every canonicalized standard, padded
+    to the longest, so the kernel reads one contiguous array per standard
+    column. It is the transpose of one padded (standards, width) code array.
+    The kernel computes cells past a standard's length too, but a distance
+    is read at the standard's own length, which no later column changes.
     """
 
     def __init__(self, standards: tuple[str, ...], eq: EquivalenceClasses):
         n = len(standards)
-        lengths = np.array(list(map(len, standards)))
-        width = int(lengths.max())
+        self.lengths = np.array(list(map(len, standards)))
+        width = int(self.lengths.max())
         # canonicalization keeps lengths, so padding first is the same
         padded = canonicalize("".join(s.ljust(width) for s in standards), eq)
-        self.codes = _code_points(padded).reshape(n, width)
-        # flat position of D[k, len(standard k)] in the (n, width + 1) table
-        self.ends = np.arange(n) * (width + 1) + lengths
+        self.columns = np.ascontiguousarray(_code_points(padded).reshape(n, width).T)
+        self.entries = np.arange(n)
 
-    def distances(self, canonical_query: str) -> np.ndarray:
-        """Levenshtein distance from the query to every standard.
+    def distances(self, canonical_queries: list[str]) -> np.ndarray:
+        """Levenshtein distance from each query to every standard, (queries, n).
 
-        Wagner-Fischer with one row per standard: D[k, j] is the distance
-        from the query prefix read so far to the first j characters of
-        standard k, advanced one query character at a time. Along a row the
-        insertion term is a running minimum: D[k, j] = min over l <= j of
-        tmp[k, l] + (j - l).
+        Wagner-Fischer (1974) cell by cell: D[j, q, k] is the distance from
+        the prefix of query q read so far to the first j characters of
+        standard k. A Python loop walks the cells (query character i,
+        standard column j), and each cell is five numpy calls over all
+        (query, standard) pairs at once; two ping-pong tables hold rows i - 1
+        and i. Query q's distances are row len(q), read at each standard's
+        own length. Queries shorter than the longest step on over padding
+        after that row; nothing reads those cells.
         """
-        n, width = self.codes.shape
-        longest = max(width, len(canonical_query)) + 1
+        width, n = self.columns.shape
+        count = len(canonical_queries)
+        query_lengths = np.array(list(map(len, canonical_queries)))
+        longest_query = int(query_lengths.max())
+        longest = max(width, longest_query) + 1
         dtype = np.int16 if longest <= np.iinfo(np.int16).max else np.int32
-        cols = np.arange(width + 1, dtype=dtype)
-        dist = np.tile(cols, (n, 1))  # D[k, j] = j for the empty prefix
-        tmp = np.empty_like(dist)
-        differs = np.empty(self.codes.shape, dtype=bool)
-        for i, code in enumerate(_code_points(canonical_query), start=1):
-            np.not_equal(self.codes, code, out=differs)
-            np.add(dist[:, :-1], differs, out=tmp[:, 1:], dtype=dtype)  # substitution
-            dist += 1
-            np.minimum(tmp[:, 1:], dist[:, 1:], out=tmp[:, 1:])  # deletion
-            tmp[:, 0] = i
-            tmp -= cols
-            np.minimum.accumulate(tmp, axis=1, out=dist)  # insertion
-            dist += cols
-        return dist.ravel()[self.ends]
+        codes = np.zeros((longest_query, count, 1), dtype=self.columns.dtype)
+        for q, query in enumerate(canonical_queries):
+            codes[: len(query), q, 0] = _code_points(query)
+        prev = np.empty((width + 1, count, n), dtype=dtype)
+        prev[:] = np.arange(width + 1, dtype=dtype)[:, None, None]  # D[j] = j for the empty prefix
+        cur = np.empty_like(prev)
+        inserted = np.empty((count, n), dtype=dtype)
+        differs = np.empty((count, n), dtype=bool)
+        out = np.empty((count, n), dtype=dtype)
+        out[query_lengths == 0] = self.lengths
+        for i in range(1, longest_query + 1):
+            cur[0] = i
+            code = codes[i - 1]
+            for j in range(1, width + 1):
+                np.not_equal(code, self.columns[j - 1], out=differs)
+                np.add(prev[j - 1], differs, out=cur[j])  # substitution
+                np.minimum(prev[j], cur[j - 1], out=inserted)
+                inserted += 1  # deletion or insertion
+                np.minimum(cur[j], inserted, out=cur[j])
+            done = np.flatnonzero(query_lengths == i)
+            if done.size:
+                out[done] = cur[self.lengths, done[:, None], self.entries]
+            prev, cur = cur, prev
+        return out
 
 
 def _index(dictionary: TransliterationDictionary, eq: EquivalenceClasses) -> _Index:
@@ -239,35 +258,64 @@ def _index(dictionary: TransliterationDictionary, eq: EquivalenceClasses) -> _In
     return index
 
 
+# query x standard pairs that one kernel pass scores at once. Its two tables
+# take 2 x (width + 1) x this many cells: about 1.6 MB of int16 at 200
+# entries of up to 5 characters (327 queries a pass), 2.1 MB at 5k entries of
+# up to 7 (13 queries). A dictionary of more entries is scored one query per pass.
+MATCH_CHUNK_CELLS = 1 << 16
+
+
+def best_matches(
+    queries,
+    dictionary: TransliterationDictionary,
+    mode: str = MODIFIED,
+    eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
+) -> list[MatchResult]:
+    """best_match of every query, in input order, from the dictionary's index.
+
+    A query equal to a standard returns that standard's first entry at
+    distance 0, as the scan would. All other queries are scored together,
+    in chunks of at most MATCH_CHUNK_CELLS query x standard pairs, and ties
+    among each query's closest entries are broken as in the scan.
+    """
+    eq = _canonicalization(dictionary, mode, eq)
+    standards = dictionary.standards
+    queries = list(queries)
+    results: list[MatchResult | None] = [None] * len(queries)
+    scored = []
+    for position, query in enumerate(queries):
+        if dictionary.natives(query):
+            # an exact raw hit, known from the hash the dictionary keeps for
+            # reverse lookup; a second hash of every standard would cost memory
+            hit = standards.index(query)
+            results[position] = MatchResult(standards[hit], 0, len(query), hit, mode)
+        else:
+            scored.append(position)
+    step = max(1, MATCH_CHUNK_CELLS // len(standards))
+    for start in range(0, len(scored), step):
+        chunk = scored[start : start + step]
+        distances = _index(dictionary, eq).distances([canonicalize(queries[p], eq) for p in chunk])
+        for position, row in zip(chunk, distances):
+            query = queries[position]
+            best_distance = row.min()
+            candidates = np.flatnonzero(row == best_distance).tolist()
+            # max keeps the first, i.e. lowest-index, of equally scored candidates
+            best_index = max(candidates, key=lambda k: tie_break_score(query, standards[k]))
+            results[position] = MatchResult(
+                matched_standard=standards[best_index],
+                distance=int(best_distance),
+                tie_break_score=tie_break_score(query, standards[best_index]),
+                dictionary_index=best_index,
+                mode=mode,
+            )
+    return results
+
+
 def best_match_pruned(
     query: str,
     dictionary: TransliterationDictionary,
     mode: str = MODIFIED,
     eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
 ) -> MatchResult:
-    """best_match from the dictionary's index; returns the identical result.
-
-    A query equal to a standard returns that standard's first entry at
-    distance 0, as the scan would. Otherwise all distances come from one
-    vectorized pass, and ties among the closest entries are broken as in
-    the scan.
-    """
-    eq = _canonicalization(dictionary, mode, eq)
-    standards = dictionary.standards
-    if dictionary.natives(query):
-        # an exact raw hit, known from the hash the dictionary keeps for
-        # reverse lookup; a second hash of every standard would cost memory
-        hit = standards.index(query)
-        return MatchResult(standards[hit], 0, len(query), hit, mode)
-    distances = _index(dictionary, eq).distances(canonicalize(query, eq))
-    best_distance = distances.min()
-    candidates = np.flatnonzero(distances == best_distance).tolist()
-    # max keeps the first, i.e. lowest-index, of equally scored candidates
-    best_index = max(candidates, key=lambda k: tie_break_score(query, standards[k]))
-    return MatchResult(
-        matched_standard=standards[best_index],
-        distance=int(best_distance),
-        tie_break_score=tie_break_score(query, standards[best_index]),
-        dictionary_index=best_index,
-        mode=mode,
-    )
+    """best_match from the dictionary's index: best_matches of a batch of one."""
+    return best_matches([query], dictionary, mode, eq)[0]

@@ -18,7 +18,7 @@ from .matcher import (
     MODIFIED,
     STANDARD,
     EquivalenceClasses,
-    best_match_pruned,
+    best_matches,
 )
 from .prenorm import prenormalize
 from .seq2seq import ModelParams, infer_batch
@@ -127,10 +127,11 @@ def normalize_batch(
     Each stage runs once per distinct input to it, in order of first
     occurrence: pre-normalization once per word, the first degree once per
     pre-normalized form (all encodable forms decoded in one infer_batch
-    call), matching once per query. The query is the first degree, or the
-    form itself without a model or when the model decodes to an empty
-    string. Identical words share one result object. Nothing is kept across
-    calls.
+    call), matching once per distinct query (one best_matches call, which
+    scores all queries that are not a standard together). The query is the
+    first degree, or the form itself without a model or when the model
+    decodes to an empty string. Identical words share one result object.
+    Nothing is kept across calls.
 
     A word's own fault (blank after pre-normalization, or not encodable by
     the model) becomes a BatchError at each of its positions. A fault of the
@@ -157,7 +158,7 @@ def normalize_batch(
     decoded = infer_batch(model, encodable) if model is not None else encodable
     first_degrees = dict(zip(encodable, decoded))
     queries = dict.fromkeys(first or form for form, first in first_degrees.items())
-    matches = {query: best_match_pruned(query, dictionary, mode=mode, eq=eq) for query in queries}
+    matches = dict(zip(queries, best_matches(queries, dictionary, mode, eq)))
     results: dict[str, NormalizationResult] = {}
     for word, form in forms.items():
         if form in first_degrees:

@@ -10,6 +10,7 @@ import pytest
 from phonorm.lexicon import TransliterationDictionary
 from phonorm.matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
+    MATCH_CHUNK_CELLS,
     MODIFIED,
     NO_EQUIVALENCE,
     STANDARD,
@@ -17,6 +18,7 @@ from phonorm.matcher import (
     EquivalenceClasses,
     best_match,
     best_match_pruned,
+    best_matches,
     canonicalize,
     levenshtein,
     load_equivalence_classes,
@@ -209,30 +211,32 @@ def random_word(rng, alphabet, lo, hi):
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
 
 
+MIXED_ALPHABET = "aobvklsteéçকখ"
+MIXED_CLASSES = [
+    DEFAULT_EQUIVALENCE_CLASSES,
+    NO_EQUIVALENCE,
+    EquivalenceClasses.from_strings(["kst"]),
+    EquivalenceClasses.from_strings(["eéç", "কখ"]),
+]
+
+
 def test_indexed_search_equals_full_scan_on_random_dictionaries():
     rng = random.Random(606)
-    alphabet = "aobvklsteéçকখ"
-    classes = [
-        DEFAULT_EQUIVALENCE_CLASSES,
-        NO_EQUIVALENCE,
-        EquivalenceClasses.from_strings(["kst"]),
-        EquivalenceClasses.from_strings(["eéç", "কখ"]),
-    ]
     kinds = {"exact": 0, "tie": 0, "empty": 0, "one": 0, "far": 0}
     for _ in range(60):
-        standards = [random_word(rng, alphabet, 1, 8) for _ in range(rng.randint(1, 40))]
+        standards = [random_word(rng, MIXED_ALPHABET, 1, 8) for _ in range(rng.randint(1, 40))]
         standards += rng.choices(standards, k=rng.randint(0, 5))  # duplicates
         rng.shuffle(standards)
         d = make_dict(standards)
         queries = [
             rng.choice(standards),
             "",
-            rng.choice(alphabet),
+            rng.choice(MIXED_ALPHABET),
             "xyzw" * rng.randint(1, 4),  # shares no character with any entry
-        ] + [random_word(rng, alphabet, 0, 10) for _ in range(8)]
+        ] + [random_word(rng, MIXED_ALPHABET, 0, 10) for _ in range(8)]
         for query in queries:
             for mode in (STANDARD, MODIFIED):
-                eq = rng.choice(classes)
+                eq = rng.choice(MIXED_CLASSES)
                 want = best_match(query, d, mode=mode, eq=eq)
                 assert best_match_pruned(query, d, mode=mode, eq=eq) == want
                 kinds["exact"] += query in standards
@@ -246,6 +250,58 @@ def test_indexed_search_equals_full_scan_on_random_dictionaries():
                 ) > 1
     # every kind of query the index must get right was drawn
     assert min(kinds.values()) > 10, kinds
+
+
+def mixed_batch(rng, standards, size):
+    """Queries of every kind the stacked kernel must get right, shuffled."""
+    queries = [
+        rng.choice(standards),  # exact hit
+        "",
+        rng.choice(MIXED_ALPHABET),
+        "xyzw" * rng.randint(1, 3),  # shares no character with any entry
+    ] + [random_word(rng, MIXED_ALPHABET, 0, 12) for _ in range(size)]
+    queries += rng.choices(queries, k=3)  # duplicates
+    rng.shuffle(queries)
+    return queries
+
+
+def test_batched_search_equals_full_scan_query_by_query():
+    rng = random.Random(1607)
+    kinds = {"exact": 0, "duplicate": 0, "empty": 0, "one": 0, "far": 0, "long": 0}
+    for _ in range(40):
+        standards = [random_word(rng, MIXED_ALPHABET, 1, 8) for _ in range(rng.randint(1, 40))]
+        standards += rng.choices(standards, k=rng.randint(0, 5))  # duplicates
+        d = make_dict(standards)
+        queries = mixed_batch(rng, standards, 12)
+        for mode in (STANDARD, MODIFIED):
+            eq = rng.choice(MIXED_CLASSES)
+            got = best_matches(queries, d, mode=mode, eq=eq)
+            assert got == [best_match(q, d, mode=mode, eq=eq) for q in queries]
+            # results follow their queries, whatever the order of the batch
+            assert best_matches(queries[::-1], d, mode=mode, eq=eq) == got[::-1]
+            for query, want in zip(queries, got):
+                kinds["exact"] += query in standards
+                kinds["empty"] += query == ""
+                kinds["one"] += len(query) == 1
+                kinds["far"] += want.distance == max(len(query), len(want.matched_standard))
+                kinds["long"] += len(query) >= 10
+            kinds["duplicate"] += len(set(queries)) < len(queries)
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_batched_search_spans_several_chunks():
+    # a dictionary large enough that MATCH_CHUNK_CELLS fits two queries per
+    # kernel pass, so this batch's non-exact queries take several passes
+    rng = random.Random(2718)
+    size = MATCH_CHUNK_CELLS // 3 + 1
+    standards = [random_word(rng, MIXED_ALPHABET, 1, 4) for _ in range(size)]
+    d = make_dict(standards)
+    eq = MIXED_CLASSES[3]
+    queries = mixed_batch(rng, standards, 5)
+    non_exact = [q for q in queries if not d.natives(q)]
+    assert len(non_exact) > 2 * (MATCH_CHUNK_CELLS // size)
+    got = best_matches(queries, d, mode=MODIFIED, eq=eq)
+    assert got == [best_match(q, d, mode=MODIFIED, eq=eq) for q in queries]
 
 
 def test_indexed_search_past_int16_distances():

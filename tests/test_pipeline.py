@@ -183,27 +183,28 @@ def test_normalize_batch_decodes_and_matches_each_prenormalized_word_once(tiny_m
     # one decoder call gets every encodable form once, in first-occurrence
     # order; a form that fails ("kalé", reached from "kalé" and "KALÉ") is
     # tried once and never decoded
-    decoder_calls, matched = [], []
-    infer_batch, best_match_pruned = phonorm.pipeline.infer_batch, phonorm.pipeline.best_match_pruned
+    decoder_calls, match_calls = [], []
+    infer_batch, best_matches = phonorm.pipeline.infer_batch, phonorm.pipeline.best_matches
 
     def counting_infer_batch(model, words):
         decoder_calls.append(list(words))
         return infer_batch(model, words)
 
-    def counting_match(query, dictionary, **kwargs):
-        matched.append(query)
-        return best_match_pruned(query, dictionary, **kwargs)
+    def counting_matches(queries, dictionary, *args, **kwargs):
+        match_calls.append(list(queries))
+        return best_matches(queries, dictionary, *args, **kwargs)
 
     monkeypatch.setattr(phonorm.pipeline, "infer_batch", counting_infer_batch)
-    monkeypatch.setattr(phonorm.pipeline, "best_match_pruned", counting_match)
+    monkeypatch.setattr(phonorm.pipeline, "best_matches", counting_matches)
     normalize_batch(REPEATS, make_dict(REPEATS_DICT), model=tiny_model)
     forms = [form for form in dict.fromkeys(prenormalize(w) for w in REPEATS) if form not in ("", "kalé")]
     assert decoder_calls == [forms]
     assert "kalé" not in decoder_calls[0]
-    # one match per distinct query: the decode of every encodable form, or
-    # the form itself where the decode is empty
+    # one matcher call, given each distinct query once: the decode of every
+    # encodable form, or the form itself where the decode is empty
     queries = {first or form for form, first in zip(forms, infer_batch(tiny_model, forms))}
-    assert Counter(matched) == Counter(queries)
+    assert len(match_calls) == 1
+    assert Counter(match_calls[0]) == Counter(queries)
 
 
 @pytest.mark.parametrize("with_model", [False, True])

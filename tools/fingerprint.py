@@ -19,12 +19,18 @@ Each line is `<name> <sha256>`, covering:
 * cli.normalize.repeats: the same CLI's `normalize` stdout under setups 2
   and 4, text then structured, on an input that gives every test word twice
   and once more as a variant (in capitals, or with a doubled letter
-  stretched to three), which pre-normalizes like the word itself.
+  stretched to three), which pre-normalizes like the word itself;
+* cli.normalize.dict5k.setup<s>: the same CLI's structured `normalize`
+  stdout under setups 1 and 2 on the test inputs of a 5,000-entry benchmark
+  that `generate` writes as generate_benchmark(seed=7, dict_size=5000,
+  max_syllables=3, test_size=1000) does, so matching runs over a dictionary
+  large enough that a call scores its queries in several chunks.
 
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has. The script imports
 only long-standing library names (generate_benchmark, train, infer, the
-checkpoint functions and cli.main), so it also runs against older trees.
+checkpoint functions and cli.main; the dict5k lines use cli.main alone), so
+it also runs against older trees.
 """
 
 import os
@@ -121,6 +127,18 @@ def main() -> None:
         emit("cli.normalize.repeats", b"".join(
             cli_stdout(["normalize", "--input", str(repeats_path), "--setup", setup, "--format", fmt, *common])
             for setup in "24" for fmt in ("text", "structured")))
+
+        big = tmp / "dict5k"
+        cli_stdout(["generate", "--out-dir", str(big), "--seed", "7", "--dict-size", "5000",
+                    "--max-syllables", "3", "--test-size", "1000"])
+        big_words = [line.split("\t")[0] for line in
+                     (big / "testset.tsv").read_text(encoding="utf-8").splitlines()]
+        big_input = big / "words.txt"
+        big_input.write_text("".join(f"{w}\n" for w in big_words), encoding="utf-8")
+        for setup in "12":
+            emit(f"cli.normalize.dict5k.setup{setup}", cli_stdout(
+                ["normalize", "--input", str(big_input), "--dict", str(big / "dictionary.tsv"),
+                 "--setup", setup, "--format", "structured"]))
 
 
 if __name__ == "__main__":
