@@ -15,10 +15,11 @@ dynamic program. best_matches returns the identical result for each query of
 a list, in input order, and best_match_pruned is best_matches of a batch of
 one. A query equal to a standard is answered from the dictionary's hash of
 its raw standards. All other queries of a call go through one kernel: the
-same dynamic program, column by column, over a stacked (queries, standards)
-plane, on an index built once per (dictionary, canonicalization) and kept on
-the dictionary. The kernel takes at most MATCH_CHUNK_CELLS query x standard
-pairs per pass, so its scratch memory per pass is bounded whatever the call.
+same dynamic program, one query character at a time, over every (query,
+standard) pair at once, on an index built once per (dictionary,
+canonicalization) and kept on the dictionary. The kernel takes at most
+MATCH_CHUNK_CELLS query x standard pairs per pass, so its scratch memory per
+pass is bounded whatever the call.
 """
 
 from __future__ import annotations
@@ -187,14 +188,18 @@ def _code_points(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
+_INT16_MAX = np.iinfo(np.int16).max
+
+
 class _Index:
     """One dictionary's standards, prepared for matching under one canonicalization.
 
     columns[j] holds code point j of every canonicalized standard, padded
-    to the longest, so the kernel reads one contiguous array per standard
-    column. It is the transpose of one padded (standards, width) code array.
-    The kernel computes cells past a standard's length too, but a distance
-    is read at the standard's own length, which no later column changes.
+    to the longest: standard column first, as in the kernel's tables, so one
+    comparison with a query character covers a whole row. It is the
+    transpose of one padded (standards, width) code array. The kernel
+    computes cells past a standard's length too, but a distance is read at
+    the standard's own length, which no later column changes.
     """
 
     def __init__(self, standards: tuple[str, ...], eq: EquivalenceClasses):
@@ -209,44 +214,52 @@ class _Index:
     def distances(self, canonical_queries: list[str]) -> np.ndarray:
         """Levenshtein distance from each query to every standard, (queries, n).
 
-        Wagner-Fischer (1974) cell by cell: D[j, q, k] is the distance from
-        the prefix of query q read so far to the first j characters of
-        standard k. A Python loop walks the cells (query character i,
-        standard column j), and each cell is five numpy calls over all
-        (query, standard) pairs at once; two ping-pong tables hold rows i - 1
-        and i. Query q's distances are row len(q), read at each standard's
-        own length. Queries shorter than the longest step on over padding
-        after that row; nothing reads those cells.
+        Wagner-Fischer (1974) one query character at a time, in offset form:
+        P[j, q, k] = D[j, q, k] - j, where D is the distance from the prefix
+        of query q read so far to the first j characters of standard k. Row 0
+        is all zeros, and row i is
+            P[0] = i,
+            P[j] = min(P_prev[j] + 1, P_prev[j - 1] - same[j], P[j - 1]),
+        where same[j] says that query character i equals standard character
+        j. The first two terms read only row i - 1, so each is one numpy call
+        over the whole (width, queries, standards) row; the third, insertion,
+        is a running minimum down the row, one call per standard column. Two
+        ping-pong tables hold rows i - 1 and i. Query q's distance to
+        standard k is P[len(k), q, k] + len(k), read at row len(q). Queries
+        shorter than the longest step on over padding after that row;
+        nothing reads those cells.
         """
         width, n = self.columns.shape
         count = len(canonical_queries)
         query_lengths = np.array(list(map(len, canonical_queries)))
         longest_query = int(query_lengths.max())
         longest = max(width, longest_query) + 1
-        dtype = np.int16 if longest <= np.iinfo(np.int16).max else np.int32
+        dtype = np.int16 if longest <= _INT16_MAX else np.int32
         codes = np.zeros((longest_query, count, 1), dtype=self.columns.dtype)
         for q, query in enumerate(canonical_queries):
             codes[: len(query), q, 0] = _code_points(query)
-        prev = np.empty((width + 1, count, n), dtype=dtype)
-        prev[:] = np.arange(width + 1, dtype=dtype)[:, None, None]  # D[j] = j for the empty prefix
+        # the queries of length i are by_length[first[i]:first[i + 1]]
+        by_length = np.argsort(query_lengths, kind="stable")
+        first = np.searchsorted(query_lengths[by_length], np.arange(longest_query + 2))
+        columns = self.columns[:, None]
+        prev = np.zeros((width + 1, count, n), dtype=dtype)
         cur = np.empty_like(prev)
-        inserted = np.empty((count, n), dtype=dtype)
-        differs = np.empty((count, n), dtype=bool)
-        out = np.empty((count, n), dtype=dtype)
-        out[query_lengths == 0] = self.lengths
+        same = np.empty((width, count, n), dtype=bool)
+        diagonal = np.empty(same.shape, dtype=dtype)
+        out = np.zeros((count, n), dtype=dtype)  # row 0, an empty query's P
         for i in range(1, longest_query + 1):
+            np.equal(codes[i - 1], columns, out=same)
+            np.subtract(prev[:-1], same, out=diagonal)  # substitution
+            np.add(prev[1:], 1, out=cur[1:])  # deletion
+            np.minimum(cur[1:], diagonal, out=cur[1:])
             cur[0] = i
-            code = codes[i - 1]
             for j in range(1, width + 1):
-                np.not_equal(code, self.columns[j - 1], out=differs)
-                np.add(prev[j - 1], differs, out=cur[j])  # substitution
-                np.minimum(prev[j], cur[j - 1], out=inserted)
-                inserted += 1  # deletion or insertion
-                np.minimum(cur[j], inserted, out=cur[j])
-            done = np.flatnonzero(query_lengths == i)
+                np.minimum(cur[j], cur[j - 1], out=cur[j])  # insertion
+            done = by_length[first[i] : first[i + 1]]
             if done.size:
                 out[done] = cur[self.lengths, done[:, None], self.entries]
             prev, cur = cur, prev
+        out += self.lengths
         return out
 
 
@@ -258,11 +271,15 @@ def _index(dictionary: TransliterationDictionary, eq: EquivalenceClasses) -> _In
     return index
 
 
-# query x standard pairs that one kernel pass scores at once. Its two tables
-# take 2 x (width + 1) x this many cells: about 1.6 MB of int16 at 200
-# entries of up to 5 characters (327 queries a pass), 2.1 MB at 5k entries of
-# up to 7 (13 queries). A dictionary of more entries is scored one query per pass.
-MATCH_CHUNK_CELLS = 1 << 16
+# query x standard pairs that one kernel pass scores at once. Each whole-row
+# call of a pass touches width x this many cells, and its scratch (two int16
+# tables of (width + 1) x pairs, the bool same and one int16 temporary of
+# width x pairs) is about 0.63 MB at 200 entries of up to 5 characters (81
+# queries a pass) and 0.8 MB at 5k entries of up to 7 (3 queries). Stacked
+# calls ran fastest at this size among 2^12 to 2^16; at 2^16 (3.4 MB a pass
+# at 5k) they ran up to 2x slower. A dictionary of more entries is scored
+# one query per pass.
+MATCH_CHUNK_CELLS = 1 << 14
 
 
 def best_matches(

@@ -16,6 +16,7 @@ from phonorm.matcher import (
     STANDARD,
     EquivalenceClassError,
     EquivalenceClasses,
+    _Index,
     best_match,
     best_match_pruned,
     best_matches,
@@ -302,6 +303,28 @@ def test_batched_search_spans_several_chunks():
     assert len(non_exact) > 2 * (MATCH_CHUNK_CELLS // size)
     got = best_matches(queries, d, mode=MODIFIED, eq=eq)
     assert got == [best_match(q, d, mode=MODIFIED, eq=eq) for q in queries]
+
+
+def test_index_distances_equal_levenshtein_for_every_pair():
+    # the tests above check each query's winner only; a kernel that got a
+    # losing entry's distance wrong would pass them
+    rng = random.Random(3141)
+    kinds = {"one_length": 0, "mixed_lengths": 0, "empty": 0, "one": 0, "longer": 0}
+    for trial in range(40):
+        lo = rng.randint(1, 8)
+        hi = lo if trial % 2 else 8
+        standards = [random_word(rng, MIXED_ALPHABET, lo, hi) for _ in range(rng.randint(1, 30))]
+        queries = mixed_batch(rng, standards, 8) + [random_word(rng, MIXED_ALPHABET, hi + 1, hi + 4)]
+        eq = rng.choice(MIXED_CLASSES)
+        canonical = [canonicalize(q, eq) for q in queries]
+        got = _Index(tuple(standards), eq).distances(canonical)
+        assert got.tolist() == [[levenshtein(q, canonicalize(s, eq)) for s in standards] for q in canonical]
+        longest = max(map(len, standards))
+        kinds["one_length" if len(set(map(len, standards))) == 1 else "mixed_lengths"] += 1
+        kinds["empty"] += queries.count("")
+        kinds["one"] += sum(len(q) == 1 for q in queries)
+        kinds["longer"] += sum(len(q) > longest for q in queries)
+    assert min(kinds.values()) > 10, kinds
 
 
 def test_indexed_search_past_int16_distances():

@@ -24,7 +24,10 @@ Each line is `<name> <sha256>`, covering:
   stdout under setups 1 and 2 on the test inputs of a 5,000-entry benchmark
   that `generate` writes as generate_benchmark(seed=7, dict_size=5000,
   max_syllables=3, test_size=1000) does, so matching runs over a dictionary
-  large enough that a call scores its queries in several chunks.
+  large enough that a call scores its queries in several chunks;
+* cli.normalize.dict5k.single: the same CLI's structured `normalize <word>`
+  stdout under setup 2, one call per word for the first 100 of those test
+  inputs, concatenated, so each non-exact word is a kernel pass of its own.
 
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has. The script imports
@@ -139,6 +142,10 @@ def main() -> None:
             emit(f"cli.normalize.dict5k.setup{setup}", cli_stdout(
                 ["normalize", "--input", str(big_input), "--dict", str(big / "dictionary.tsv"),
                  "--setup", setup, "--format", "structured"]))
+        emit("cli.normalize.dict5k.single", b"".join(
+            cli_stdout(["normalize", word, "--dict", str(big / "dictionary.tsv"),
+                        "--setup", "2", "--format", "structured"])
+            for word in big_words[:100]))
 
 
 if __name__ == "__main__":
