@@ -12,6 +12,7 @@ from .evaluation import (
     NoiseModel,
     SyntheticBenchmark,
     evaluate,
+    evaluate_setups,
     generate_benchmark,
 )
 from .lexicon import (
@@ -37,7 +38,7 @@ from .matcher import (
     modified_levenshtein,
     tie_break_score,
 )
-from .pipeline import NormalizationResult, SetupId, normalize, normalize_batch
+from .pipeline import NormalizationResult, SetupId, normalize, normalize_batch, normalize_setups
 from .prenorm import expand_digits, prenormalize, trim_elongation
 from .seq2seq import (
     CheckpointError,
@@ -82,6 +83,7 @@ __all__ = [
     "decode",
     "encode",
     "evaluate",
+    "evaluate_setups",
     "expand_digits",
     "generate_benchmark",
     "infer",
@@ -94,6 +96,7 @@ __all__ = [
     "modified_levenshtein",
     "normalize",
     "normalize_batch",
+    "normalize_setups",
     "prenormalize",
     "save_checkpoint",
     "tie_break_score",

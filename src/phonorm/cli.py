@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .evaluation import (
-    evaluate,
+    evaluate_setups,
     format_report_table,
     generate_benchmark,
     report_to_dict,
@@ -31,7 +31,7 @@ from .lexicon import (
     save_test_set,
 )
 from .matcher import DEFAULT_EQUIVALENCE_CLASSES, MODIFIED, STANDARD, load_equivalence_classes
-from .pipeline import BatchError, SetupId, normalize_batch
+from .pipeline import BatchError, SetupId, normalize_setups
 from .prenorm import load_digit_table
 from .seq2seq import TrainingConfig, load_checkpoint, save_checkpoint, train
 
@@ -126,11 +126,8 @@ def cmd_normalize(args, parser) -> int:
     dictionary = load_dictionary(args.dict)
     eq = _load_eq(args)
     digits = _load_digits(args)
-    model, (setup,) = _load_setups(args, parser)
-    words = _read_words(args)
-    outcomes = normalize_batch(
-        words, dictionary, model if setup.uses_model else None, eq, setup.mode, digits
-    )
+    model, setups = _load_setups(args, parser)
+    (outcomes,) = normalize_setups(_read_words(args), dictionary, model, setups, eq, digits)
     for outcome in outcomes:
         if isinstance(outcome, BatchError):
             _emit(
@@ -175,9 +172,7 @@ def cmd_evaluate(args, parser) -> int:
     eq = _load_eq(args)
     digits = _load_digits(args)
     model, setups = _load_setups(args, parser)
-    reports = [
-        evaluate(testset, model, dictionary, eq, setup, digits) for setup in setups
-    ]
+    reports = evaluate_setups(testset, model, dictionary, setups, eq, digits)
     if args.format == STRUCTURED:
         for report in reports:
             print(json.dumps(report_to_dict(report), sort_keys=True, ensure_ascii=False))

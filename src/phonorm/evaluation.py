@@ -25,7 +25,7 @@ from .matcher import (
     canonicalize,
     levenshtein,
 )
-from .pipeline import BatchError, SetupId, normalize_batch
+from .pipeline import BatchError, SetupId, normalize_setups
 from .prenorm import prenormalize
 from .seq2seq import ModelParams
 
@@ -91,52 +91,57 @@ def evaluate(
     setup: SetupId = SetupId.SETUP_4,
     digit_table: dict[str, str] | None = None,
 ) -> EvalReport:
-    """Run the pipeline over a test set under one setup.
+    """Run the pipeline over a test set under one setup: evaluate_setups of one."""
+    return evaluate_setups(testset, model, dictionary, [setup], eq, digit_table)[0]
 
-    Correctness is exact, case-sensitive string equality between the final
-    form and the gold. Per-entry pipeline errors are counted as failures
-    (they score as wrong) rather than aborting the run; they are listed
-    separately from mismatch errors and excluded from the OOV analysis.
+
+def evaluate_setups(
+    testset: TestSet,
+    model: ModelParams | None,
+    dictionary: TransliterationDictionary,
+    setups,
+    eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
+    digit_table: dict[str, str] | None = None,
+) -> list[EvalReport]:
+    """Run the pipeline over a test set under each of setups, in one pass.
+
+    Returns one report per setup. Correctness is exact, case-sensitive string
+    equality between the final form and the gold. Per-entry pipeline errors
+    are counted as failures (they score as wrong) rather than aborting the
+    run; they are listed separately from mismatch errors and excluded from the
+    OOV analysis.
     """
     if len(testset) == 0:
         raise ValueError("test set is empty")
-    if setup.uses_model and model is None:
-        raise ValueError(f"{setup.label} applies the first-degree model but none was given")
-    active_model = model if setup.uses_model else None
-    outcomes = normalize_batch(
-        [word for word, _ in testset.entries], dictionary, active_model, eq, setup.mode, digit_table
-    )
-    exact = 0
-    errors: list[ErrorRecord] = []
-    failures: list[FailureRecord] = []
-    for index, ((word, gold), outcome) in enumerate(zip(testset.entries, outcomes)):
-        if isinstance(outcome, BatchError):
-            failures.append(FailureRecord(index=index, input=word, gold=gold, message=outcome.message))
-        elif outcome.final == gold:
-            exact += 1
-        else:
-            errors.append(
-                ErrorRecord(
-                    index=index,
-                    input=word,
-                    gold=gold,
-                    prenormalized=outcome.prenormalized,
-                    first_degree=outcome.first_degree,
-                    final=outcome.final,
-                    distance=outcome.distance,
-                    oov=gold not in dictionary.standard_set,
+    setups = list(setups)
+    words = [word for word, _ in testset.entries]
+    reports = []
+    for setup, outcomes in zip(setups, normalize_setups(words, dictionary, model, setups, eq, digit_table)):
+        exact = 0
+        errors: list[ErrorRecord] = []
+        failures: list[FailureRecord] = []
+        for index, ((word, gold), outcome) in enumerate(zip(testset.entries, outcomes)):
+            if isinstance(outcome, BatchError):
+                failures.append(FailureRecord(index=index, input=word, gold=gold, message=outcome.message))
+            elif outcome.final == gold:
+                exact += 1
+            else:
+                errors.append(
+                    ErrorRecord(
+                        index=index,
+                        input=word,
+                        gold=gold,
+                        prenormalized=outcome.prenormalized,
+                        first_degree=outcome.first_degree,
+                        final=outcome.final,
+                        distance=outcome.distance,
+                        oov=gold not in dictionary.standard_set,
+                    )
                 )
-            )
-    oov_fraction, mean_distance = _analyze(errors)
-    return EvalReport(
-        setup=setup,
-        total=len(testset),
-        exact_matches=exact,
-        errors=tuple(errors),
-        failures=tuple(failures),
-        oov_error_fraction=oov_fraction,
-        mean_oov_distance=mean_distance,
-    )
+        reports.append(
+            EvalReport(setup, len(testset), exact, tuple(errors), tuple(failures), *_analyze(errors))
+        )
+    return reports
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -341,6 +346,8 @@ def generate_benchmark(
     """
     if min(dict_size, train_size, test_size) < 1:
         raise ValueError("benchmark sizes must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative (got {seed})")
     if min_syllables < 1:
         raise ValueError(f"min_syllables must be at least 1 (got {min_syllables})")
     if max_syllables < min_syllables:

@@ -122,60 +122,83 @@ def normalize_batch(
     mode: str = MODIFIED,
     digit_table: dict[str, str] | None = None,
 ) -> list[NormalizationResult | BatchError]:
-    """Normalize many words, in order, one stage at a time.
+    """Normalize many words, in order, under the one setup that model and mode
+    name: normalize_setups of a list of one."""
+    setup = SetupId.of(model is not None, mode)
+    return normalize_setups(words, dictionary, model, [setup], eq, digit_table)[0]
+
+
+def normalize_setups(
+    words,
+    dictionary: TransliterationDictionary,
+    model: ModelParams | None,
+    setups,
+    eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
+    digit_table: dict[str, str] | None = None,
+) -> list[list[NormalizationResult | BatchError]]:
+    """Normalize many words, in order, under each of setups: one list each.
 
     Each stage runs once per distinct input to it, in order of first
-    occurrence: pre-normalization once per word, the first degree once per
-    pre-normalized form (all encodable forms decoded in one infer_batch
-    call), matching once per distinct query (one best_matches call, which
-    scores all queries that are not a standard together). The query is the
-    first degree, or the form itself without a model or when the model
-    decodes to an empty string. Identical words share one result object.
-    Nothing is kept across calls.
+    occurrence, whatever the number of setups: pre-normalization once per
+    word, the first degree once per pre-normalized form (all encodable forms
+    decoded in one infer_batch call, made only if some setup uses the
+    model), matching once per distinct query of a mode (one best_matches
+    call per mode, which scores all queries that are not a standard
+    together). A setup's query is its first degree, or the form itself
+    without the model or when the model decodes to an empty string.
+    Identical words share one result object within a setup. Nothing is kept
+    across calls.
 
-    A word's own fault (blank after pre-normalization, or not encodable by
-    the model) becomes a BatchError at each of its positions. A fault of the
-    call itself (an unknown mode, an empty dictionary) raises ValueError.
+    A word's own fault becomes a BatchError at each of its positions: blank
+    after pre-normalization in every setup, not encodable by the model in the
+    setups that use it. A fault of the call itself (a setup that needs the
+    model when none is given, an empty dictionary) raises ValueError.
     """
-    setup = SetupId.of(model is not None, mode).label
+    setups = list(setups)
+    needs_model = [setup.label for setup in setups if setup.uses_model]
+    if needs_model and model is None:
+        raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
     if len(dictionary) == 0:
         raise ValueError("cannot match against an empty dictionary")
     words = list(words)
     forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)}
-    failures: dict[str, str] = {}  # form -> error message
-    encodable = []
-    for form in dict.fromkeys(forms.values()):
-        if not form.strip():
-            failures[form] = "empty word: nothing to normalize"
-            continue
-        if model is not None:
-            try:
-                encode([form], model.source_alphabet, model.max_len)
-            except EncodingError as exc:
-                failures[form] = str(exc)
-                continue
-        encodable.append(form)
-    decoded = infer_batch(model, encodable) if model is not None else encodable
-    first_degrees = dict(zip(encodable, decoded))
-    queries = dict.fromkeys(first or form for form, first in first_degrees.items())
-    matches = dict(zip(queries, best_matches(queries, dictionary, mode, eq)))
-    results: dict[str, NormalizationResult] = {}
-    for word, form in forms.items():
-        if form in first_degrees:
-            first = first_degrees[form]
-            match = matches[first or form]
-            final = match.matched_standard
-            results[word] = NormalizationResult(
-                input=word,
-                prenormalized=final if form == final else form,
-                first_degree=final if first == final else first,
-                final=final,
-                distance=match.distance,
-                back_transliterations=dictionary.natives(final),
-                mode=mode,
-                setup=setup,
-            )
-    return [
-        results[word] if word in results else BatchError(index, word, failures[forms[word]])
-        for index, word in enumerate(words)
-    ]
+    # form -> error message, in the setups where the form fails
+    failures = {form: "empty word: nothing to normalize" for form in forms.values() if not form.strip()}
+    plain = {form: form for form in forms.values() if form not in failures}
+    for form in plain if needs_model else ():
+        try:
+            encode([form], model.source_alphabet, model.max_len)
+        except EncodingError as exc:
+            failures[form] = str(exc)
+    encodable = [form for form in plain if form not in failures]
+    decoded = dict(zip(encodable, infer_batch(model, encodable))) if needs_model else {}
+    # per setup, form -> first degree for each form the setup normalizes
+    firsts = [decoded if setup.uses_model else plain for setup in setups]
+    queries: dict[str, dict[str, None]] = {}  # mode -> distinct queries
+    for setup, first_degrees in zip(setups, firsts):
+        queries.setdefault(setup.mode, {}).update((f or form, None) for form, f in first_degrees.items())
+    matches = {mode: dict(zip(qs, best_matches(qs, dictionary, mode, eq))) for mode, qs in queries.items()}
+    outcomes = []
+    for setup, first_degrees in zip(setups, firsts):
+        mode, label = setup.mode, setup.label
+        results: dict[str, NormalizationResult] = {}
+        for word, form in forms.items():
+            if form in first_degrees:
+                first = first_degrees[form]
+                match = matches[mode][first or form]
+                final = match.matched_standard
+                results[word] = NormalizationResult(
+                    input=word,
+                    prenormalized=final if form == final else form,
+                    first_degree=final if first == final else first,
+                    final=final,
+                    distance=match.distance,
+                    back_transliterations=dictionary.natives(final),
+                    mode=mode,
+                    setup=label,
+                )
+        outcomes.append([
+            results[word] if word in results else BatchError(index, word, failures[forms[word]])
+            for index, word in enumerate(words)
+        ])
+    return outcomes

@@ -133,7 +133,7 @@ def init_model_params(
 ) -> ModelParams:
     """Draw every tensor uniformly from [-init_scale, init_scale]."""
     if num_layers < 1:
-        raise ValueError("need at least one layer")
+        raise ValueError("num_layers must be positive")
     if max_len < 1:
         raise ValueError("max_len must be positive")
     if max_len > MAX_LEN_LIMIT:
@@ -522,6 +522,8 @@ def train(
         raise ValueError("learning_rate must be a positive finite number")
     if not 0.0 <= config.validation_fraction < 1.0:
         raise ValueError("validation_fraction must be in [0, 1)")
+    if config.rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative (got {config.rng_seed})")
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
     if not pairs:
         raise ValueError("training lexicon is empty")

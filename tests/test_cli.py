@@ -179,7 +179,8 @@ def test_normalize_setup_and_mode_conflict(workspace):
      ("--batch-size", "0", "batch_size"), ("--hidden-dim", "0", "hidden_dim"),
      ("--validation-fraction", "-0.5", "validation_fraction"),
      ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
-     ("--lr", "0", "learning_rate"), ("--lr", "-1", "learning_rate")],
+     ("--lr", "0", "learning_rate"), ("--lr", "-1", "learning_rate"),
+     ("--layers", "0", "num_layers"), ("--layers", "-1", "num_layers"), ("--seed", "-1", "rng_seed")],
 )
 def test_train_rejects_unrunnable_config_before_writing(workspace, capsys, tmp_path, flag, value, field):
     checkpoint = tmp_path / "m.ckpt"
@@ -465,6 +466,7 @@ def test_generate_improbable_dictionary_size_is_data_error_without_drawing(capsy
         (["--min-syllables", "0"], "min_syllables"),
         (["--min-syllables", "3", "--max-syllables", "2"], "max_syllables"),
         (["--coda-probability", "5"], "coda_probability"),
+        (["--seed", "-1"], "seed"),
     ],
 )
 def test_generate_rejects_invalid_word_shape(capsys, tmp_path, args, field):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import phonorm.pipeline
 from phonorm.evaluation import (
     NoiseModel,
     SetupId,
     corrupt,
     evaluate,
+    evaluate_setups,
     format_report_table,
     generate_benchmark,
     native_form,
@@ -19,6 +23,7 @@ from phonorm.evaluation import (
 from phonorm.lexicon import TestSet, TransliterationDictionary
 from phonorm.matcher import DEFAULT_EQUIVALENCE_CLASSES, canonicalize
 from phonorm.prenorm import prenormalize
+from phonorm.seq2seq import infer_batch
 
 QUIET = NoiseModel(vowel_swap=0.0, bv_swap=0.0, vowel_lengthening=0.0,
                    elongation=0.0, vowel_deletion=0.0)
@@ -136,6 +141,75 @@ def test_report_serialization_and_table():
     assert len(lines) == 2
     assert lines[0].split()[:2] == ["setup", "model"]
     assert "setup_1" in lines[1] and "0/2" in lines[1]
+
+
+# ---------------------------------------------------------------------------
+# several setups in one pass
+
+# a blank input, words no model here can encode (a foreign character, a
+# digit that expands past max_len, an overlong word), repeats, and case or
+# elongation variants that pre-normalize like the word itself
+MIXED_DICT = ["kala", "bodo", "mibu", "gato", "sela"]
+MIXED = TestSet(entries=(
+    ("kaala", "kala"), ("bodo", "bodo"), (" ", "kala"), ("kalé", "kala"), ("99999", "kala"),
+    ("kalakalakalakala", "kala"), ("kaala", "kala"), ("KAALA", "kala"), ("kaaaala", "kala"),
+    ("BoDo", "bodo"), ("mibbbu", "mibu"), ("gatto", "gato"), ("kalé", "kala"), ("sela", "sela"),
+))
+
+
+def counting_stages(monkeypatch):
+    """Record each infer_batch call's forms and each best_matches call's
+    (mode, queries) as the pipeline makes them."""
+    decoder_calls, match_calls = [], []
+    decode, match = phonorm.pipeline.infer_batch, phonorm.pipeline.best_matches
+
+    def counting_infer_batch(model, words):
+        decoder_calls.append(list(words))
+        return decode(model, words)
+
+    def counting_matches(queries, dictionary, mode, *args, **kwargs):
+        match_calls.append((mode, list(queries)))
+        return match(queries, dictionary, mode, *args, **kwargs)
+
+    monkeypatch.setattr(phonorm.pipeline, "infer_batch", counting_infer_batch)
+    monkeypatch.setattr(phonorm.pipeline, "best_matches", counting_matches)
+    return decoder_calls, match_calls
+
+
+def test_evaluate_setups_equals_one_evaluate_per_setup(tiny_model):
+    d = make_dict(MIXED_DICT)
+    reports = evaluate_setups(MIXED, tiny_model, d, list(SetupId))
+    assert reports == [evaluate(MIXED, tiny_model, d, setup=setup) for setup in SetupId]
+    # the blank input fails everywhere, the unencodable words only with the model
+    failed = [[f.index for f in report.failures] for report in reports]
+    assert failed == [[2], [2], [2, 3, 4, 5, 12], [2, 3, 4, 5, 12]]
+
+
+def test_evaluate_setups_decodes_once_and_matches_once_per_mode(tiny_model, monkeypatch):
+    decoder_calls, match_calls = counting_stages(monkeypatch)
+    evaluate_setups(MIXED, tiny_model, make_dict(MIXED_DICT), list(SetupId))
+    forms = [form for form in dict.fromkeys(prenormalize(w) for w, _ in MIXED.entries) if form.strip()]
+    encodable = [form for form in forms if form not in ("kalé", prenormalize("99999"), "kalakalakalakala")]
+    assert decoder_calls == [encodable]
+    # each mode's one call gets every distinct query of its two setups once:
+    # the form itself without the model, the decode (or the form, where the
+    # decode is empty) with it
+    decoded = infer_batch(tiny_model, encodable)
+    queries = Counter(set([*forms, *(first or form for form, first in zip(encodable, decoded))]))
+    assert sorted(mode for mode, _ in match_calls) == ["modified", "standard"]
+    for _, called in match_calls:
+        assert Counter(called) == queries
+
+
+def test_evaluate_setups_without_model_setups_never_decodes(tiny_model, monkeypatch):
+    decoder_calls, match_calls = counting_stages(monkeypatch)
+    d = make_dict(MIXED_DICT)
+    setups = [SetupId.SETUP_1, SetupId.SETUP_2]
+    reports = evaluate_setups(MIXED, tiny_model, d, setups)
+    assert decoder_calls == []
+    assert len(match_calls) == 2
+    assert reports == evaluate_setups(MIXED, None, d, setups)
+    assert [[f.index for f in report.failures] for report in reports] == [[2], [2]]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ Each line is `<name> <sha256>`, covering:
 * cli.*: stdout of the in-process CLI for `normalize` under setups 1-4 and
   for `evaluate --setup all`, each in text and structured form, on
   generate_benchmark()'s dictionary and test set with the same checkpoint;
+* cli.evaluate.failures: the same CLI's `evaluate` stdout for `--setup all`
+  and for setups 1-4, text then structured, on that test set plus the
+  words the checkpoint cannot encode and a whitespace-only input, so each
+  setup reports its own failures;
 * cli.normalize.repeats: the same CLI's `normalize` stdout under setups 2
   and 4, text then structured, on an input that gives every test word twice
   and once more as a variant (in capitals, or with a doubled letter
@@ -123,6 +127,14 @@ def main() -> None:
                     ["normalize", "--input", str(input_path), "--setup", setup, "--format", fmt, *common]))
             emit(f"cli.evaluate.all.{fmt}", cli_stdout(
                 ["evaluate", "--testset", str(test_path), "--setup", "all", "--format", fmt, *common]))
+
+        failing_path = tmp / "failing.tsv"
+        gold = bench.testset.entries[0][1]
+        failing_path.write_text(test_path.read_text(encoding="utf-8") + "".join(
+            f"{w}\t{gold}\n" for w in [*UNENCODABLE, " "]), encoding="utf-8")
+        emit("cli.evaluate.failures", b"".join(
+            cli_stdout(["evaluate", "--testset", str(failing_path), "--setup", setup, "--format", fmt, *common])
+            for setup in ("all", *"1234") for fmt in ("text", "structured")))
 
         repeats_path = tmp / "repeats.txt"
         repeats = words + [variant(i, w) for i, w in enumerate(words)] + words
