@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .evaluation import (
@@ -70,17 +70,10 @@ def _read_words(args) -> list[str]:
 # subcommands
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, parser) -> int:
     lexicon = load_parallel_lexicon(args.lexicon)
-    config = TrainingConfig(
-        hidden_dim=args.hidden_dim,
-        num_layers=args.layers,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        validation_fraction=args.validation_fraction,
-        rng_seed=args.seed,
-    )
+    # each config option's dest is its TrainingConfig field
+    config = TrainingConfig(**{field.name: getattr(args, field.name) for field in fields(TrainingConfig)})
 
     def report(rec):
         text = (
@@ -154,7 +147,7 @@ def cmd_normalize(args, parser) -> int:
     return 0
 
 
-def cmd_backtranslit(args) -> int:
+def cmd_backtranslit(args, parser) -> int:
     dictionary = load_dictionary(args.dict)
     for word in _read_words(args):
         natives = dictionary.natives(word)
@@ -189,7 +182,7 @@ def cmd_evaluate(args, parser) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, parser) -> int:
     bench = generate_benchmark(
         seed=args.seed,
         dict_size=args.dict_size,
@@ -236,55 +229,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT,
-                       help="output style: human text or JSON lines")
+    # options shared by several subcommands, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT,
+                        help="output style: human text or JSON lines")
+    words = argparse.ArgumentParser(add_help=False)
+    words.add_argument("words", nargs="*", help="words to process")
+    words.add_argument("--input", help="file with one word per line")
+    dictionary = argparse.ArgumentParser(add_help=False)
+    dictionary.add_argument("--dict", required=True, help="native<TAB>standard dictionary")
+    matching = argparse.ArgumentParser(add_help=False, parents=[dictionary])
+    matching.add_argument("--checkpoint", help="trained model for first-degree normalization")
+    matching.add_argument("--eq-classes", help="equivalence class file (one class per line)")
+    matching.add_argument("--digit-table", help="digit<TAB>phone file overriding the default table")
 
-    p_train = sub.add_parser("train", help="fit the first-degree model on a parallel lexicon")
+    p_train = sub.add_parser("train", parents=[output],
+                             help="fit the first-degree model on a parallel lexicon")
+    p_train.set_defaults(run=cmd_train)
     p_train.add_argument("--lexicon", required=True, help="noisy<TAB>standard training pairs")
     p_train.add_argument("--checkpoint", required=True, help="where to write the trained model")
     p_train.add_argument("--trace", help="per-epoch TSV path (default: <checkpoint>.trace.tsv)")
-    p_train.add_argument("--seed", type=int, default=TrainingConfig.rng_seed)
+    p_train.add_argument("--seed", dest="rng_seed", type=int, default=TrainingConfig.rng_seed)
     p_train.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
     p_train.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
     p_train.add_argument("--hidden-dim", type=int, default=TrainingConfig.hidden_dim)
-    p_train.add_argument("--lr", type=float, default=TrainingConfig.learning_rate)
-    p_train.add_argument("--layers", type=int, default=TrainingConfig.num_layers)
+    p_train.add_argument("--lr", dest="learning_rate", type=float, default=TrainingConfig.learning_rate)
+    p_train.add_argument("--layers", dest="num_layers", type=int, default=TrainingConfig.num_layers)
     p_train.add_argument("--validation-fraction", type=float, default=TrainingConfig.validation_fraction)
-    add_common(p_train)
 
-    p_norm = sub.add_parser("normalize", help="normalize words against a dictionary")
-    p_norm.add_argument("words", nargs="*", help="words to normalize")
-    p_norm.add_argument("--input", help="file with one word per line")
-    p_norm.add_argument("--dict", required=True, help="native<TAB>standard dictionary")
-    p_norm.add_argument("--checkpoint", help="trained model for first-degree normalization")
+    p_norm = sub.add_parser("normalize", parents=[words, matching, output],
+                            help="normalize words against a dictionary")
+    p_norm.set_defaults(run=cmd_normalize)
     group = p_norm.add_mutually_exclusive_group()
     group.add_argument("--setup", choices=["1", "2", "3", "4"],
                        help="ablation setup (overrides --mode and model use)")
     group.add_argument("--mode", choices=[STANDARD, MODIFIED],
                        help="matching distance (default: modified)")
-    p_norm.add_argument("--eq-classes", help="equivalence class file (one class per line)")
-    p_norm.add_argument("--digit-table", help="digit<TAB>phone file overriding the default table")
     p_norm.add_argument("--fail-fast", action="store_true",
                         help="stop with a nonzero exit at the first failed word")
-    add_common(p_norm)
 
-    p_back = sub.add_parser("backtranslit", help="native-script forms of standard words")
-    p_back.add_argument("words", nargs="*", help="standard transliterations to look up")
-    p_back.add_argument("--input", help="file with one word per line")
-    p_back.add_argument("--dict", required=True)
-    add_common(p_back)
+    p_back = sub.add_parser("backtranslit", parents=[words, dictionary, output],
+                            help="native-script forms of standard words")
+    p_back.set_defaults(run=cmd_backtranslit)
 
-    p_eval = sub.add_parser("evaluate", help="score a test set under one or all setups")
+    p_eval = sub.add_parser("evaluate", parents=[matching, output],
+                            help="score a test set under one or all setups")
+    p_eval.set_defaults(run=cmd_evaluate)
     p_eval.add_argument("--testset", required=True, help="noisy<TAB>gold pairs")
-    p_eval.add_argument("--dict", required=True)
-    p_eval.add_argument("--checkpoint")
     p_eval.add_argument("--setup", choices=["1", "2", "3", "4", "all"], default="all")
-    p_eval.add_argument("--eq-classes")
-    p_eval.add_argument("--digit-table")
-    add_common(p_eval)
 
-    p_gen = sub.add_parser("generate", help="write a seeded synthetic benchmark")
+    p_gen = sub.add_parser("generate", parents=[output], help="write a seeded synthetic benchmark")
+    p_gen.set_defaults(run=cmd_generate)
     p_gen.add_argument("--out-dir", required=True)
     p_gen.add_argument("--seed", type=int, default=7)
     p_gen.add_argument("--dict-size", type=int, default=200)
@@ -294,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--min-syllables", type=int, default=2)
     p_gen.add_argument("--max-syllables", type=int, default=2)
     p_gen.add_argument("--coda-probability", type=float, default=0.3)
-    add_common(p_gen)
 
     return parser
 
@@ -303,24 +297,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "normalize":
-            return cmd_normalize(args, parser)
-        if args.command == "backtranslit":
-            return cmd_backtranslit(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args, parser)
-        if args.command == "generate":
-            return cmd_generate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, parser)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

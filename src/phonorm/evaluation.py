@@ -14,7 +14,7 @@ phonetic misspellings the pipeline is meant to undo.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -145,18 +145,9 @@ def evaluate_setups(
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready view of a report (plain scalars, lists and dicts only)."""
-    return {
-        "type": "report",
-        "setup": report.setup.label,
-        "total": report.total,
-        "exact_matches": report.exact_matches,
-        "accuracy": report.accuracy,
-        "oov_error_fraction": report.oov_error_fraction,
-        "mean_oov_distance": report.mean_oov_distance,
-        "errors": [asdict(e) for e in report.errors],
-        "failures": [asdict(f) for f in report.failures],
-    }
+    """JSON-ready view of a report: its fields with records as dicts, the
+    setup as its label, plus "type" and "accuracy"."""
+    return {**asdict(report), "type": "report", "setup": report.setup.label, "accuracy": report.accuracy}
 
 
 def format_report_table(reports) -> str:
@@ -205,14 +196,7 @@ class NoiseModel:
         """Multiply every probability by rate (clipped to 1)."""
         if not rate >= 0:
             raise ValueError("noise rate must be non-negative")
-        return replace(
-            self,
-            vowel_swap=min(1.0, self.vowel_swap * rate),
-            bv_swap=min(1.0, self.bv_swap * rate),
-            vowel_lengthening=min(1.0, self.vowel_lengthening * rate),
-            elongation=min(1.0, self.elongation * rate),
-            vowel_deletion=min(1.0, self.vowel_deletion * rate),
-        )
+        return replace(self, **{f.name: min(1.0, getattr(self, f.name) * rate) for f in fields(self)})
 
 
 _CONSONANTS = "bcdghjklmnprstv"

@@ -19,7 +19,6 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,17 +45,14 @@ class CheckpointError(ValueError):
 # parameters
 
 
-@dataclass(eq=False)
-class LstmLayerParams:
-    """One LSTM layer: gates stacked along the last axis as [i, f, g, o]."""
+def _layer_names(tag: str, index: int) -> tuple[str, str, str]:
+    """The tensor names of layer index of the stack tag ("enc" or "dec").
 
-    w_x: np.ndarray  # (input_dim, 4 * hidden_dim)
-    w_h: np.ndarray  # (hidden_dim, 4 * hidden_dim)
-    b: np.ndarray  # (4 * hidden_dim,)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_h.shape[0]
+    A layer is the triple (w_x, w_h, b): w_x is (input_dim, 4 * hidden_dim),
+    w_h (hidden_dim, 4 * hidden_dim) and b (4 * hidden_dim,), with the gates
+    stacked along the last axis as [i, f, g, o].
+    """
+    return f"{tag}{index}.w_x", f"{tag}{index}.w_h", f"{tag}{index}.b"
 
 
 @dataclass(eq=False)
@@ -65,8 +61,9 @@ class ModelParams:
 
     tensors maps each name to its array in _expected_shapes order, the order
     of gradients, rmsprop state and the checkpoint manifest. The layer views
-    and the output projection share those arrays, so an in-place update of a
-    tensor is an update of the model.
+    and the output projection read those arrays on each access, so an
+    in-place update of a tensor, or a new array bound to its name, is an
+    update of the model.
     """
 
     source_alphabet: Alphabet
@@ -91,19 +88,17 @@ class ModelParams:
     def b_out(self) -> np.ndarray:  # (target_size,)
         return self.tensors["out.b"]
 
-    def _layers(self, tag: str) -> tuple[LstmLayerParams, ...]:
-        t = self.tensors
+    def _layers(self, tag: str) -> tuple[tuple[np.ndarray, ...], ...]:
         return tuple(
-            LstmLayerParams(w_x=t[f"{tag}{i}.w_x"], w_h=t[f"{tag}{i}.w_h"], b=t[f"{tag}{i}.b"])
-            for i in range(self.num_layers)
+            tuple(self.tensors[name] for name in _layer_names(tag, index)) for index in range(self.num_layers)
         )
 
-    @cached_property
-    def encoder(self) -> tuple[LstmLayerParams, ...]:
+    @property
+    def encoder(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return self._layers("enc")
 
-    @cached_property
-    def decoder(self) -> tuple[LstmLayerParams, ...]:
+    @property
+    def decoder(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return self._layers("dec")
 
 
@@ -114,9 +109,8 @@ def _expected_shapes(
     for tag, in_dim in (("enc", source_size), ("dec", target_size)):
         for index in range(num_layers):
             first = in_dim if index == 0 else hidden_dim
-            shapes[f"{tag}{index}.w_x"] = (first, 4 * hidden_dim)
-            shapes[f"{tag}{index}.w_h"] = (hidden_dim, 4 * hidden_dim)
-            shapes[f"{tag}{index}.b"] = (4 * hidden_dim,)
+            layer_shapes = ((first, 4 * hidden_dim), (hidden_dim, 4 * hidden_dim), (4 * hidden_dim,))
+            shapes.update(zip(_layer_names(tag, index), layer_shapes))
     shapes["out.w"] = (hidden_dim, target_size)
     shapes["out.b"] = (target_size,)
     return shapes
@@ -164,15 +158,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def lstm_step(
-    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmLayerParams
+    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, layer: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Advance one time step for a batch: returns (h, c, cache).
 
-    x is either a (batch,) vector of symbol indices, whose input projection is
-    the row gather w_x[x], or a dense (batch, input_dim) array.
+    layer is (w_x, w_h, b) as _layer_names describes. x is either a (batch,)
+    vector of symbol indices, whose input projection is the row gather
+    w_x[x], or a dense (batch, input_dim) array.
     """
-    hdim = params.hidden_dim
-    z = (params.w_x[x] if x.ndim == 1 else x @ params.w_x) + h_prev @ params.w_h + params.b
+    w_x, w_h, b = layer
+    hdim = w_h.shape[0]
+    z = (w_x[x] if x.ndim == 1 else x @ w_x) + h_prev @ w_h + b
     i_f = _sigmoid(z[:, : 2 * hdim])
     i, f = i_f[:, :hdim], i_f[:, hdim:]
     g = np.tanh(z[:, 2 * hdim : 3 * hdim])
@@ -188,7 +184,7 @@ def _lstm_layer_backward(
     d_h_seq: np.ndarray,
     d_h_final: np.ndarray,
     d_c_final: np.ndarray,
-    params: LstmLayerParams,
+    layer: Sequence[np.ndarray],
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None, np.ndarray, np.ndarray]:
     """Back-propagate one layer across time.
 
@@ -202,8 +198,9 @@ def _lstm_layer_backward(
     w.r.t. the input sequence (None for index inputs, which have none) and
     the gradients w.r.t. the initial states.
     """
+    w_x, w_h, _ = layer
     batch, steps, _ = d_h_seq.shape
-    hdim = params.hidden_dim
+    hdim = w_h.shape[0]
     dz_seq = np.empty((steps, batch, 4 * hdim))
     dh, dc = d_h_final, d_c_final
     for t in reversed(range(steps)):
@@ -215,7 +212,7 @@ def _lstm_layer_backward(
         dz[:, hdim : 2 * hdim] = dct * c_prev * f * (1.0 - f)
         dz[:, 2 * hdim : 3 * hdim] = dct * i * (1.0 - g * g)
         dz[:, 3 * hdim :] = dh * tc * o * (1.0 - o)
-        dh = dz @ params.w_h.T
+        dh = dz @ w_h.T
         dc = dct * f
 
     dz_all = dz_seq.reshape(steps * batch, 4 * hdim)
@@ -226,17 +223,17 @@ def _lstm_layer_backward(
     if x_seq.ndim == 2:
         # w_x[x] was a row gather, so each symbol's row collects the dz rows
         # of the positions that read it
-        dw_x = np.zeros_like(params.w_x)
+        dw_x = np.zeros_like(w_x)
         for symbol in np.unique(x_seq):
             dw_x[symbol] = dz_seq[x_seq == symbol].sum(axis=0)
         return (dw_x, dw_h, db), None, dh, dc
     dw_x = x_seq.reshape(steps * batch, -1).T @ dz_all
-    d_x_seq = (dz_seq @ params.w_x.T).transpose(1, 0, 2)
+    d_x_seq = (dz_seq @ w_x.T).transpose(1, 0, 2)
     return (dw_x, dw_h, db), d_x_seq, dh, dc
 
 
 def _step(
-    layers: Sequence[LstmLayerParams], x: np.ndarray, states: Sequence[tuple[np.ndarray, np.ndarray]]
+    layers: Sequence[Sequence[np.ndarray]], x: np.ndarray, states: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[tuple]]:
     """Advance a stack one time step: layer l reads the h of layer l - 1.
 
@@ -253,7 +250,7 @@ def _step(
 
 
 def _run(
-    layers: Sequence[LstmLayerParams], x_seq: np.ndarray, states: Sequence[tuple[np.ndarray, np.ndarray]]
+    layers: Sequence[Sequence[np.ndarray]], x_seq: np.ndarray, states: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[list[tuple]]]:
     """Step a stack over the columns of x_seq, (batch, steps) or (batch, steps, input_dim).
 
@@ -427,12 +424,10 @@ def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
     )
     for tag, layers, caches, d_above in stacks:
         for index in reversed(range(params.num_layers)):
-            (dw_x, dw_h, db), d_above, d_h[index], d_c[index] = _lstm_layer_backward(
+            layer_grads, d_above, d_h[index], d_c[index] = _lstm_layer_backward(
                 caches[index], d_above, d_h[index], d_c[index], layers[index]
             )
-            grads[f"{tag}{index}.w_x"] = dw_x
-            grads[f"{tag}{index}.w_h"] = dw_h
-            grads[f"{tag}{index}.b"] = db
+            grads.update(zip(_layer_names(tag, index), layer_grads))
 
     return BatchResult(grads=grads, metrics=metrics)
 

@@ -37,6 +37,14 @@ def test_target_alphabet_reserves_three_markers():
     assert (ab.pad_index, ab.start_index, ab.end_index) == (0, 1, 2)
 
 
+def test_membership_is_content_only():
+    # perfbench's workloads test `ch in model.source_alphabet` to draw words
+    # the model cannot encode
+    ab = build_alphabet(["ba", "ad"], TARGET)
+    assert [ch in ab for ch in "abdc"] == [True, True, True, False]
+    assert not any(marker in ab for marker in (PAD_MARKER, START_MARKER, END_MARKER))
+
+
 def test_content_sorted_by_code_point():
     ab = build_alphabet(["zaç"], TARGET)
     assert ab.content == ("a", "z", "ç")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import struct
 
 import pytest
@@ -495,6 +496,19 @@ def test_missing_subcommand_is_usage_error():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["normalize", "kala", "--setup", "5"], ["evaluate", "--testset", "testset.tsv", "--setup", "0"]],
+)
+def test_unknown_setup_is_usage_error(workspace, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dict", str(workspace / "dict.tsv"), "--checkpoint", str(workspace / "model.ckpt")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--setup" in captured.err and "invalid choice" in captured.err
+
+
+@pytest.mark.parametrize(
     "what",
     ["dictionary", "lexicon", "test set", "digit table", "equivalence classes", "normalize --input"],
 )
@@ -516,3 +530,47 @@ def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, what):
     plain.write_text(body, encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
     assert load(marked) == load(plain)
+
+
+def _corrupted(data: bytes, rng: random.Random, head: int) -> bytes:
+    """data with 1-4 bytes overwritten, deleted or inserted at a seeded
+    position, half the time within the first head bytes."""
+    out = bytearray(data)
+    pos = rng.randrange(min(head, len(out)) if rng.random() < 0.5 else len(out))
+    junk = bytes(rng.randrange(256) for _ in range(rng.randint(1, 4)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        out[pos : pos + len(junk)] = junk[: len(out) - pos]
+    elif kind == 1:
+        del out[pos : pos + len(junk)]
+    else:
+        out[pos:pos] = junk
+    return bytes(out)
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "dictionary", "test set"])
+def test_corrupted_inputs_exit_0_or_4_with_an_error_line(workspace, capsys, tmp_path, target):
+    # seeded byte corruption of one input file: each run either succeeds or
+    # reports a data error on stderr, and no exception leaves main
+    ckpt, dict_path, test_path = workspace / "model.ckpt", workspace / "dict.tsv", workspace / "testset.tsv"
+    source, argv = {
+        "checkpoint": (ckpt, ["normalize", "--dict", str(dict_path), "--checkpoint", "{}", "--setup", "4"]),
+        "dictionary": (dict_path, ["normalize", "--dict", "{}", "--setup", "2"]),
+        "test set": (test_path, ["evaluate", "--testset", "{}", "--dict", str(dict_path), "--setup", "2"]),
+    }[target]
+    data = source.read_bytes()
+    offset = len(CHECKPOINT_MAGIC) + 1
+    head = offset + 8 + struct.unpack_from("<Q", data, offset)[0] if target == "checkpoint" else len(data)
+    bad = tmp_path / source.name
+    codes = []
+    for case in range(300):
+        bad.write_bytes(_corrupted(data, random.Random(case), head))
+        args = [str(bad) if arg == "{}" else arg for arg in argv]
+        if args[0] == "normalize":
+            args += ["kala", "kolo", "vodo", "gato2"]
+        code, _, err = run(capsys, args)
+        assert code in (0, 4), (case, code, err)
+        assert code == 0 or err.startswith("error:"), (case, err)
+        codes.append(code)
+    # the corruptions reach both outcomes
+    assert set(codes) == {0, 4}

@@ -19,7 +19,6 @@ from phonorm.seq2seq import (
     DECODE_CHUNK_ROWS,
     MAX_LEN_LIMIT,
     CheckpointError,
-    LstmLayerParams,
     TrainingConfig,
     batch_loss,
     decode_step,
@@ -59,15 +58,37 @@ def test_tensor_writes_in_place_show_through_the_layer_views():
     params = tiny_params()
     params.tensors["enc0.w_x"][1, 2] = 7.0
     params.tensors["out.w"][0, 1] = -3.0
-    assert params.encoder[0].w_x[1, 2] == 7.0
+    assert params.encoder[0][0][1, 2] == 7.0
     assert params.w_out[0, 1] == -3.0
     assert params.w_out is params.tensors["out.w"]
     assert params.b_out is params.tensors["out.b"]
     for tag, layers in (("enc", params.encoder), ("dec", params.decoder)):
         for i, layer in enumerate(layers):
-            assert layer.w_x is params.tensors[f"{tag}{i}.w_x"]
-            assert layer.w_h is params.tensors[f"{tag}{i}.w_h"]
-            assert layer.b is params.tensors[f"{tag}{i}.b"]
+            assert layer[0] is params.tensors[f"{tag}{i}.w_x"]
+            assert layer[1] is params.tensors[f"{tag}{i}.w_h"]
+            assert layer[2] is params.tensors[f"{tag}{i}.b"]
+
+
+def test_rebound_tensors_reach_the_layer_views_inference_and_checkpoints(tmp_path):
+    # the views are read from tensors on each access, so a new array bound
+    # to a name is what infer_batch runs and what save_checkpoint writes
+    source = build_alphabet(["abcdefghijklmnopqrstuvwxyz"], SOURCE)
+    target = build_alphabet(["abdegiklmnostu"], TARGET)
+    params = init_model_params(
+        source, target, max_len=8, hidden_dim=8, num_layers=2,
+        rng=np.random.default_rng(1), init_scale=3.0,
+    )
+    words = ["kala", "bavi", "dumi", "sela"]
+    before = infer_batch(params, words)  # reads the views before the rebinding
+    params.tensors["enc0.w_x"] = -params.tensors["enc0.w_x"]
+    params.tensors["dec1.w_h"] = -params.tensors["dec1.w_h"]
+    after = infer_batch(params, words)
+    assert all(old != new for old, new in zip(before, after))
+    assert params.encoder[0][0] is params.tensors["enc0.w_x"]
+    assert params.decoder[1][1] is params.tensors["dec1.w_h"]
+    path = tmp_path / "rebound.ckpt"
+    save_checkpoint(path, params)
+    assert infer_batch(load_checkpoint(path), words) == after
 
 
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
@@ -86,10 +107,7 @@ def test_dimensions_are_derived_from_the_tensors(num_layers):
 
 def test_lstm_step_zero_params_gives_zero_state():
     hidden = 3
-    params = LstmLayerParams(
-        w_x=np.zeros((2, 4 * hidden)), w_h=np.zeros((hidden, 4 * hidden)),
-        b=np.zeros(4 * hidden),
-    )
+    params = (np.zeros((2, 4 * hidden)), np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden))
     x = np.ones((5, 2))
     h, c, _ = lstm_step(x, np.zeros((5, hidden)), np.zeros((5, hidden)), params)
     assert h.shape == (5, hidden)
@@ -100,10 +118,10 @@ def test_lstm_step_zero_params_gives_zero_state():
 def test_lstm_step_output_is_bounded():
     rng = np.random.default_rng(3)
     hidden = 6
-    params = LstmLayerParams(
-        w_x=rng.uniform(-2, 2, (4, 4 * hidden)),
-        w_h=rng.uniform(-2, 2, (hidden, 4 * hidden)),
-        b=rng.uniform(-2, 2, 4 * hidden),
+    params = (
+        rng.uniform(-2, 2, (4, 4 * hidden)),
+        rng.uniform(-2, 2, (hidden, 4 * hidden)),
+        rng.uniform(-2, 2, 4 * hidden),
     )
     h = np.zeros((8, hidden))
     c = np.zeros((8, hidden))
@@ -116,10 +134,10 @@ def test_lstm_step_output_is_bounded():
 def test_lstm_step_index_input_equals_one_hot_product():
     rng = np.random.default_rng(7)
     hidden, vocab = 5, 6
-    params = LstmLayerParams(
-        w_x=rng.uniform(-2, 2, (vocab, 4 * hidden)),
-        w_h=rng.uniform(-2, 2, (hidden, 4 * hidden)),
-        b=rng.uniform(-2, 2, 4 * hidden),
+    params = (
+        rng.uniform(-2, 2, (vocab, 4 * hidden)),
+        rng.uniform(-2, 2, (hidden, 4 * hidden)),
+        rng.uniform(-2, 2, 4 * hidden),
     )
     idx = np.array([0, 3, 5, 3, 1, 2, 4])
     h_prev = rng.uniform(-1, 1, (idx.size, hidden))
@@ -227,8 +245,8 @@ def test_run_steps_the_stack_like_a_layer_by_layer_loop(dense):
     rng = np.random.default_rng(21)
     vocab, hidden, batch, steps = 6, 5, 4, 7
     layers = [
-        LstmLayerParams(w_x=rng.uniform(-1, 1, (vocab if i == 0 else hidden, 4 * hidden)),
-                        w_h=rng.uniform(-1, 1, (hidden, 4 * hidden)), b=rng.uniform(-1, 1, 4 * hidden))
+        (rng.uniform(-1, 1, (vocab if i == 0 else hidden, 4 * hidden)),
+         rng.uniform(-1, 1, (hidden, 4 * hidden)), rng.uniform(-1, 1, 4 * hidden))
         for i in range(3)
     ]
     x_seq = rng.integers(0, vocab, (batch, steps))
