@@ -5,12 +5,14 @@ goes to stdout; --format structured switches from tab-separated text to JSON
 Lines (one record per line, keys sorted) for machine consumption.
 
 Exit codes: 0 success, 2 bad arguments (argparse), 3 I/O errors, 4 data
-errors (malformed files, unknown characters, bad checkpoints, ...).
+errors (malformed files, unknown characters, bad checkpoints, ...),
+training divergence and out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, fields
@@ -37,6 +39,13 @@ from .seq2seq import TrainingConfig, load_checkpoint, save_checkpoint, train
 
 TEXT = "text"
 STRUCTURED = "structured"
+
+# generate's options: each numeric parameter of generate_benchmark, by name,
+# with its default, whose type is the option's
+GENERATE_DEFAULTS = {
+    name: parameter.default for name, parameter in inspect.signature(generate_benchmark).parameters.items()
+    if type(parameter.default) in (int, float)
+}
 
 
 def _emit(record: dict, fmt: str, text_line: str) -> None:
@@ -183,21 +192,10 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_generate(args, parser) -> int:
-    bench = generate_benchmark(
-        seed=args.seed,
-        dict_size=args.dict_size,
-        train_size=args.train_size,
-        test_size=args.test_size,
-        noise_rate=args.noise_rate,
-        min_syllables=args.min_syllables,
-        max_syllables=args.max_syllables,
-        coda_probability=args.coda_probability,
-    )
+    bench = generate_benchmark(**{name: getattr(args, name) for name in GENERATE_DEFAULTS})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dict_path = out / "dictionary.tsv"
-    lex_path = out / "lexicon.tsv"
-    test_path = out / "testset.tsv"
+    dict_path, lex_path, test_path = (out / f"{name}.tsv" for name in ("dictionary", "lexicon", "testset"))
     save_dictionary(bench.dictionary, dict_path)
     save_parallel_lexicon(bench.lexicon, lex_path)
     save_test_set(bench.testset, test_path)
@@ -281,14 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", parents=[output], help="write a seeded synthetic benchmark")
     p_gen.set_defaults(run=cmd_generate)
     p_gen.add_argument("--out-dir", required=True)
-    p_gen.add_argument("--seed", type=int, default=7)
-    p_gen.add_argument("--dict-size", type=int, default=200)
-    p_gen.add_argument("--train-size", type=int, default=1000)
-    p_gen.add_argument("--test-size", type=int, default=200)
-    p_gen.add_argument("--noise-rate", type=float, default=1.0)
-    p_gen.add_argument("--min-syllables", type=int, default=2)
-    p_gen.add_argument("--max-syllables", type=int, default=2)
-    p_gen.add_argument("--coda-probability", type=float, default=0.3)
+    for name, default in GENERATE_DEFAULTS.items():
+        p_gen.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
     return parser
 
@@ -301,7 +293,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -382,12 +382,11 @@ def generate_benchmark(
     test_entries = []
     for _ in range(test_size):
         gold = vocab[int(rng.integers(0, dict_size))]
-        noisy = corrupt(gold, scaled, rng)
-        attempts = 0
-        while len(prenormalize(noisy)) > cap and attempts < 20:
+        for _ in range(21):  # the first draw and up to 20 redraws
             noisy = corrupt(gold, scaled, rng)
-            attempts += 1
-        if len(prenormalize(noisy)) > cap:
+            if len(prenormalize(noisy)) <= cap:
+                break
+        else:
             noisy = gold
         test_entries.append((noisy, gold))
     testset = TestSet(entries=tuple(test_entries))

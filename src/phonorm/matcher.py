@@ -159,27 +159,12 @@ def best_match(
     """Scan the whole dictionary and return the least-distance entry."""
     eq = _canonicalization(dictionary, mode, eq)
     canonical_query = canonicalize(query, eq)
-    best_distance = None
-    best_score = -1
-    best_index = -1
-    for index, standard in enumerate(dictionary.standards):
-        d = levenshtein(canonical_query, canonicalize(standard, eq))
-        if best_distance is None or d < best_distance:
-            best_distance = d
-            best_score = tie_break_score(query, standard)
-            best_index = index
-        elif d == best_distance:
-            score = tie_break_score(query, standard)
-            if score > best_score:
-                best_score = score
-                best_index = index
-    return MatchResult(
-        matched_standard=dictionary.standards[best_index],
-        distance=best_distance,
-        tie_break_score=best_score,
-        dictionary_index=best_index,
-        mode=mode,
+    # the module docstring's order: distance, then more matches, then index
+    distance, negative_score, index = min(
+        (levenshtein(canonical_query, canonicalize(standard, eq)), -tie_break_score(query, standard), index)
+        for index, standard in enumerate(dictionary.standards)
     )
+    return MatchResult(dictionary.standards[index], distance, -negative_score, index, mode)
 
 
 def _code_points(s: str) -> np.ndarray:

@@ -25,46 +25,42 @@ from .seq2seq import ModelParams, infer_batch
 
 
 class SetupId(enum.Enum):
-    """Ablation grid: (first-degree model?, matching distance).
+    """Ablation grid: each setup's value is its (first-degree model?,
+    matching distance) pair, the only mapping between a setup and its two
+    pipeline switches."""
 
-    The only mapping between a setup and its two pipeline switches.
-    """
-
-    SETUP_1 = "setup_1"  # no model, standard distance
-    SETUP_2 = "setup_2"  # no model, modified distance
-    SETUP_3 = "setup_3"  # model, standard distance
-    SETUP_4 = "setup_4"  # model, modified distance
+    SETUP_1 = (False, STANDARD)
+    SETUP_2 = (False, MODIFIED)
+    SETUP_3 = (True, STANDARD)
+    SETUP_4 = (True, MODIFIED)
 
     @property
     def label(self) -> str:
-        return self.value
+        return self.name.lower()
 
     @property
     def uses_model(self) -> bool:
-        return self in (SetupId.SETUP_3, SetupId.SETUP_4)
+        return self.value[0]
 
     @property
     def mode(self) -> str:
-        return STANDARD if self in (SetupId.SETUP_1, SetupId.SETUP_3) else MODIFIED
+        return self.value[1]
 
     @classmethod
     def parse(cls, text: str) -> "SetupId":
         """Accept '1'..'4' or 'setup_1'..'setup_4'."""
-        name = text.strip().lower()
-        if name in {"1", "2", "3", "4"}:
-            name = f"setup_{name}"
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown setup {text!r} (expected 1-4 or setup_1..setup_4)")
+        member = cls.__members__.get("SETUP_" + text.strip().lower().removeprefix("setup_"))
+        if member is None:
+            raise ValueError(f"unknown setup {text!r} (expected 1-4 or setup_1..setup_4)")
+        return member
 
     @classmethod
     def of(cls, uses_model: bool, mode: str) -> "SetupId":
         """The setup that runs (or skips) the first degree and matches under mode."""
-        for member in cls:
-            if member.uses_model == uses_model and member.mode == mode:
-                return member
-        raise ValueError(f"mode must be one of {(STANDARD, MODIFIED)}, got {mode!r}")
+        try:
+            return cls((uses_model, mode))
+        except ValueError:
+            raise ValueError(f"mode must be one of {(STANDARD, MODIFIED)}, got {mode!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,15 +147,14 @@ def normalize_setups(
 
     A word's own fault becomes a BatchError at each of its positions: blank
     after pre-normalization in every setup, not encodable by the model in the
-    setups that use it. A fault of the call itself (a setup that needs the
-    model when none is given, an empty dictionary) raises ValueError.
+    setups that use it. A fault of the call itself raises ValueError: a setup
+    that needs the model when none is given, or an empty dictionary (from
+    the best_matches call of each mode).
     """
     setups = list(setups)
     needs_model = [setup.label for setup in setups if setup.uses_model]
     if needs_model and model is None:
         raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
-    if len(dictionary) == 0:
-        raise ValueError("cannot match against an empty dictionary")
     words = list(words)
     forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)}
     # form -> error message, in the setups where the form fails

@@ -116,6 +116,20 @@ def _expected_shapes(
     return shapes
 
 
+def _check_dimensions(hidden_dim: int, num_layers: int, max_len: int) -> None:
+    """Raise ValueError naming the first dimension a model may not have."""
+    for name, value in (("hidden_dim", hidden_dim), ("num_layers", num_layers), ("max_len", max_len)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive (got {value})")
+    if max_len > MAX_LEN_LIMIT:
+        raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT} (got {max_len})")
+
+
+def _non_finite(tensors: dict[str, np.ndarray]) -> str | None:
+    """The name of the first tensor holding a NaN or an infinity, or None."""
+    return next((name for name, tensor in tensors.items() if not np.isfinite(tensor).all()), None)
+
+
 def init_model_params(
     source_alphabet: Alphabet,
     target_alphabet: Alphabet,
@@ -126,14 +140,7 @@ def init_model_params(
     init_scale: float = 0.08,
 ) -> ModelParams:
     """Draw every tensor uniformly from [-init_scale, init_scale]."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be positive")
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
-    if max_len > MAX_LEN_LIMIT:
-        raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT} (got {max_len})")
-    if hidden_dim < 1:
-        raise ValueError("hidden_dim must be positive")
+    _check_dimensions(hidden_dim, num_layers, max_len)
     shapes = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     tensors = {name: rng.uniform(-init_scale, init_scale, size=shape) for name, shape in shapes.items()}
     return ModelParams(source_alphabet, target_alphabet, max_len, tensors)
@@ -559,6 +566,9 @@ def train(
                 cache *= RMSPROP_RHO
                 cache += (1.0 - RMSPROP_RHO) * grad * grad
                 tensor -= config.learning_rate * grad / (np.sqrt(cache) + RMSPROP_EPSILON)
+        name = _non_finite(params.tensors)
+        if name is not None:
+            raise ValueError(f"training diverged: tensor {name} holds non-finite values after epoch {epoch}")
         val = batch_loss(params, val_batch) if val_batch is not None else None
         record = EpochRecord(epoch, *_columns(seen), *_columns(val))
         records.append(record)
@@ -704,15 +714,9 @@ def _read_checkpoint(path, fh) -> ModelParams:
         source_alphabet = Alphabet(side=SOURCE, content=tuple(header["source_alphabet"]))
         target_alphabet = Alphabet(side=TARGET, content=tuple(header["target_alphabet"]))
         manifest = [(str(name), tuple(dimension(n) for n in shape)) for name, shape in header["tensors"]]
+        _check_dimensions(hidden_dim, num_layers, max_len)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
-    if min(hidden_dim, num_layers, max_len) < 1:
-        raise CheckpointError(
-            f"{path}: hidden_dim, num_layers and max_len must be positive "
-            f"(got {hidden_dim}, {num_layers}, {max_len})"
-        )
-    if max_len > MAX_LEN_LIMIT:
-        raise CheckpointError(f"{path}: max_len must be at most {MAX_LEN_LIMIT} (got {max_len})")
 
     expected = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
     if [name for name, _ in manifest] != list(expected):
@@ -735,11 +739,11 @@ def _read_checkpoint(path, fh) -> ModelParams:
     for (name, shape), count in zip(manifest, counts):
         if stored < 8 * (start + count):
             raise CheckpointError(f"{path}: truncated tensor data for {name}")
-        tensor = flat[start : start + count]
-        if not np.isfinite(tensor).all():
-            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-        tensors[name] = tensor.reshape(shape)
+        tensors[name] = flat[start : start + count].reshape(shape)
         start += count
+    name = _non_finite(tensors)
+    if name is not None:
+        raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
     if size > offset + 8 * start:
         raise CheckpointError(f"{path}: {size - offset - 8 * start} trailing bytes after tensor data")
     return ModelParams(source_alphabet, target_alphabet, max_len, tensors)

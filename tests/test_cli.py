@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import random
 import struct
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
+from conftest import subprocess_env
 
-from phonorm.cli import main
-from phonorm.lexicon import load_dictionary, load_parallel_lexicon, load_test_set
+from phonorm.cli import build_parser, main
+from phonorm.evaluation import generate_benchmark
+from phonorm.lexicon import load_dictionary, load_parallel_lexicon, load_test_set, save_parallel_lexicon
 from phonorm.matcher import load_equivalence_classes
 from phonorm.prenorm import DEFAULT_DIGIT_PHONES, load_digit_table
-from phonorm.seq2seq import CHECKPOINT_MAGIC, MAX_LEN_LIMIT, load_checkpoint, save_checkpoint
+from phonorm.seq2seq import CHECKPOINT_MAGIC, MAX_LEN_LIMIT, TrainingConfig, load_checkpoint, save_checkpoint
 
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
 LEXICON_WORDS = ["kala", "bodo", "gato", "kolo", "sela", "mibu", "lodi", "tabe"]
@@ -195,6 +202,69 @@ def test_train_rejects_unrunnable_config_before_writing(workspace, capsys, tmp_p
     assert "Traceback" not in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _cli_subprocess(argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "phonorm", *argv], capture_output=True, text=True, **kwargs)
+
+
+def test_diverging_training_is_data_error_and_writes_nothing(tmp_path):
+    # a subprocess, because pytest turns numpy's overflow RuntimeWarning into
+    # an error before train can check the tensors
+    lexicon = tmp_path / "lexicon.tsv"
+    save_parallel_lexicon(generate_benchmark(train_size=100).lexicon, lexicon)
+    proc = _cli_subprocess(
+        ["train", "--lexicon", str(lexicon), "--checkpoint", str(tmp_path / "model.ckpt"),
+         "--epochs", "3", "--hidden-dim", "8", "--lr", "1e308"],
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    (error,) = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert "non-finite values after epoch 1" in error
+    assert proc.stdout == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["lexicon.tsv"]
+
+
+def test_out_of_memory_is_data_error(workspace, tmp_path):
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(hard, 3 * 2**30)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    # a hidden_dim of 100,000 asks for 298 GiB in its first recurrent tensor
+    proc = _cli_subprocess(
+        ["train", "--lexicon", str(workspace / "lexicon.tsv"), "--checkpoint", str(tmp_path / "model.ckpt"),
+         "--epochs", "1", "--hidden-dim", "100000"],
+        env={**subprocess_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def _options(subcommand: str) -> dict[str, argparse.Action]:
+    actions = build_parser()._actions
+    (subparsers,) = [action for action in actions if isinstance(action, argparse._SubParsersAction)]
+    return {action.dest: action for action in subparsers.choices[subcommand]._actions}
+
+
+def test_generate_and_train_option_defaults_are_the_library_defaults():
+    generate = _options("generate")
+    for name, parameter in inspect.signature(generate_benchmark).parameters.items():
+        if name == "consonants":
+            assert name not in generate
+            continue
+        assert generate[name].default == parameter.default, name
+        assert type(generate[name].default) is type(parameter.default), name
+        assert generate[name].type is type(parameter.default), name
+    train = _options("train")
+    for field in fields(TrainingConfig):
+        assert train[field.name].default == field.default, field.name
+        assert train[field.name].type is type(field.default), field.name
 
 
 @pytest.mark.parametrize("header", [b"[]", b"null", b'"v1"'])

@@ -465,6 +465,17 @@ def test_train_rejects_empty_lexicon():
         train(ParallelLexicon(entries=()), TrainingConfig(epochs=1))
 
 
+def test_diverging_train_raises_naming_the_tensor_and_the_epoch():
+    lexicon = generate_benchmark(train_size=100).lexicon
+    epochs = []
+    # the first update overflows; without errstate, pytest would raise the
+    # RuntimeWarning before train could check the tensors
+    diverged = r"tensor \S+ holds non-finite values after epoch 1"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=diverged):
+        train(lexicon, TrainingConfig(epochs=3, hidden_dim=8, learning_rate=1e308), on_epoch=epochs.append)
+    assert epochs == []
+
+
 def test_train_sources_are_prenormalized():
     # "baaaad" trims to "baad": the source alphabet stays within a-z and the
     # model treats the trimmed form and the raw form identically
