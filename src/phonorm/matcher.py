@@ -173,7 +173,8 @@ def _code_points(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
-_INT16_MAX = np.iinfo(np.int16).max
+# the table types the kernel tries, narrowest first
+_TABLE_DTYPES = (np.int8, np.int16, np.int32)
 
 
 class _Index:
@@ -218,8 +219,10 @@ class _Index:
         count = len(canonical_queries)
         query_lengths = np.array(list(map(len, canonical_queries)))
         longest_query = int(query_lengths.max())
+        # offset-form values lie in [-width, longest_query], and a deletion
+        # term adds 1 before the minimum
         longest = max(width, longest_query) + 1
-        dtype = np.int16 if longest <= _INT16_MAX else np.int32
+        dtype = next(t for t in _TABLE_DTYPES if longest <= np.iinfo(t).max)
         codes = np.zeros((longest_query, count, 1), dtype=self.columns.dtype)
         for q, query in enumerate(canonical_queries):
             codes[: len(query), q, 0] = _code_points(query)
@@ -257,13 +260,14 @@ def _index(dictionary: TransliterationDictionary, eq: EquivalenceClasses) -> _In
 
 
 # query x standard pairs that one kernel pass scores at once. Each whole-row
-# call of a pass touches width x this many cells, and its scratch (two int16
-# tables of (width + 1) x pairs, the bool same and one int16 temporary of
-# width x pairs) is about 0.63 MB at 200 entries of up to 5 characters (81
-# queries a pass) and 0.8 MB at 5k entries of up to 7 (3 queries). Stacked
-# calls ran fastest at this size among 2^12 to 2^16; at 2^16 (3.4 MB a pass
-# at 5k) they ran up to 2x slower. A dictionary of more entries is scored
-# one query per pass.
+# call of a pass touches width x this many cells, and its scratch (two int8
+# tables of (width + 1) x pairs, the bool same and one int8 temporary of
+# width x pairs) is about 0.36 MB at 200 entries of up to 5 characters (81
+# queries a pass) and 0.45 MB at 5k entries of up to 7 (3 queries); int16
+# tables, for queries or standards of 127 characters or more, take about
+# 1.8 times as much. With int16 tables, stacked calls ran fastest at this size
+# among 2^12 to 2^16; at 2^16 (3.4 MB a pass at 5k) they ran up to 2x
+# slower. A dictionary of more entries is scored one query per pass.
 MATCH_CHUNK_CELLS = 1 << 14
 
 

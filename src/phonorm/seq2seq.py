@@ -151,11 +151,15 @@ def init_model_params(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    np.copyto(e, 1.0, where=x >= 0)
-    return np.divide(e, d, out=e)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
+    # overflows, written as e^min(x, 0) / (1 + e^-|x|): that numerator is
+    # exactly 1.0 for x >= 0 (±0 and +inf included) and exactly e^-|x| below,
+    # so one more exp picks each branch's numerator without a masked copy,
+    # which costs more than the exp
+    d = np.exp(-np.abs(x))
+    d += 1.0
+    n = np.exp(np.minimum(x, 0.0))
+    return np.divide(n, d, out=n)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -175,12 +179,17 @@ def lstm_step(
     """
     w_x, w_h, b = layer
     hdim = w_h.shape[0]
-    z = (w_x[x] if x.ndim == 1 else x @ w_x) + h_prev @ w_h + b
+    # both sums are built in place; IEEE addition commutes, so z has the bits
+    # of (input projection + h_prev @ w_h) + b
+    z = h_prev @ w_h
+    z += w_x[x] if x.ndim == 1 else x @ w_x
+    z += b
     i_f = _sigmoid(z[:, : 2 * hdim])
     i, f = i_f[:, :hdim], i_f[:, hdim:]
     g = np.tanh(z[:, 2 * hdim : 3 * hdim])
     o = _sigmoid(z[:, 3 * hdim :])
-    c = f * c_prev + i * g
+    c = f * c_prev
+    c += i * g
     tc = np.tanh(c)
     h = o * tc
     return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
@@ -560,15 +569,18 @@ def train(
         for start in range(0, train_batch.size, config.batch_size):
             result = loss_and_gradients(params, train_batch.rows(order[start : start + config.batch_size]))
             seen += result.metrics
-            for name, tensor in params.tensors.items():
-                grad = result.grads[name]
-                cache = rms_cache[name]
-                cache *= RMSPROP_RHO
-                cache += (1.0 - RMSPROP_RHO) * grad * grad
-                tensor -= config.learning_rate * grad / (np.sqrt(cache) + RMSPROP_EPSILON)
-        name = _non_finite(params.tensors)
-        if name is not None:
-            raise ValueError(f"training diverged: tensor {name} holds non-finite values after epoch {epoch}")
+            # an update that overflows is reported below as divergence, not
+            # as numpy warnings, and before a forward pass runs on its result
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, tensor in params.tensors.items():
+                    grad = result.grads[name]
+                    cache = rms_cache[name]
+                    cache *= RMSPROP_RHO
+                    cache += (1.0 - RMSPROP_RHO) * grad * grad
+                    tensor -= config.learning_rate * grad / (np.sqrt(cache) + RMSPROP_EPSILON)
+            name = _non_finite(params.tensors)
+            if name is not None:
+                raise ValueError(f"training diverged: tensor {name} holds non-finite values after epoch {epoch}")
         val = batch_loss(params, val_batch) if val_batch is not None else None
         record = EpochRecord(epoch, *_columns(seen), *_columns(val))
         records.append(record)
@@ -605,6 +617,7 @@ def infer_batch(params: ModelParams, words: Sequence[str]) -> list[str]:
     src = encode(words, params.source_alphabet, params.max_len)
     target = params.target_alphabet
     steps = params.max_len + 2
+    encoder = params.encoder
     decoded = []
     for start in range(0, len(src), DECODE_CHUNK_ROWS):
         chunk = src[start : start + DECODE_CHUNK_ROWS]
@@ -612,7 +625,7 @@ def infer_batch(params: ModelParams, words: Sequence[str]) -> list[str]:
         zeros = np.zeros((len(chunk), params.hidden_dim))
         states = [(zeros, zeros)] * params.num_layers
         for t in range(chunk.shape[1]):
-            _, states, _ = _step(params.encoder, chunk[:, t], states)
+            _, states, _ = _step(encoder, chunk[:, t], states)
         # a row's symbols after its end marker stay pads, which decode skips
         emitted = np.full((len(chunk), steps), target.pad_index)
         live = np.arange(len(chunk))

@@ -6,6 +6,7 @@ import argparse
 import inspect
 import json
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -209,19 +210,19 @@ def _cli_subprocess(argv, **kwargs):
 
 
 def test_diverging_training_is_data_error_and_writes_nothing(tmp_path):
-    # a subprocess, because pytest turns numpy's overflow RuntimeWarning into
-    # an error before train can check the tensors
+    # a subprocess, so stderr is what a user sees: the overflowing update
+    # must leak no numpy RuntimeWarning there, and training must stop before
+    # a forward pass runs on the broken weights
     lexicon = tmp_path / "lexicon.tsv"
     save_parallel_lexicon(generate_benchmark(train_size=100).lexicon, lexicon)
     proc = _cli_subprocess(
         ["train", "--lexicon", str(lexicon), "--checkpoint", str(tmp_path / "model.ckpt"),
-         "--epochs", "3", "--hidden-dim", "8", "--lr", "1e308"],
+         "--trace", str(tmp_path / "trace.tsv"), "--epochs", "3", "--hidden-dim", "8", "--lr", "1e308"],
         env=subprocess_env(),
     )
     assert proc.returncode == 4
-    assert "Traceback" not in proc.stderr
-    (error,) = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert "non-finite values after epoch 1" in error
+    (error,) = proc.stderr.splitlines()
+    assert re.fullmatch(r"error: training diverged: tensor \S+ holds non-finite values after epoch 1", error)
     assert proc.stdout == ""
     assert [path.name for path in tmp_path.iterdir()] == ["lexicon.tsv"]
 

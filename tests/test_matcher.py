@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from phonorm.lexicon import TransliterationDictionary
@@ -325,6 +326,33 @@ def test_index_distances_equal_levenshtein_for_every_pair():
         kinds["one"] += sum(len(q) == 1 for q in queries)
         kinds["longer"] += sum(len(q) > longest for q in queries)
     assert min(kinds.values()) > 10, kinds
+
+
+@pytest.mark.parametrize("long_side", ["query", "standard"])
+def test_index_tables_narrow_to_int8_up_to_their_limit(long_side):
+    # offset-form values lie in [-width, longest query] and a deletion adds 1,
+    # so int8 tables hold them while max(width, longest query) + 1 <= 127
+    rng = random.Random(1618)
+    for longest, dtype in ((125, np.int8), (126, np.int8), (127, np.int16)):
+        long_word = random_word(rng, MIXED_ALPHABET, longest, longest)
+        standards = [random_word(rng, MIXED_ALPHABET, 1, 8) for _ in range(12)]
+        queries = mixed_batch(rng, standards, 4) + [long_word[: longest // 2]]
+        if long_side == "query":
+            # the second shares no character with any standard
+            queries += [long_word, "x" * longest]
+        else:
+            standards.append(long_word)
+            queries += [long_word, long_word[1:], long_word[::-1]]
+        eq = rng.choice(MIXED_CLASSES)
+        canonical = [canonicalize(q, eq) for q in queries]
+        got = _Index(tuple(standards), eq).distances(canonical)
+        assert got.dtype == dtype
+        assert got.tolist() == [[levenshtein(q, canonicalize(s, eq)) for s in standards] for q in canonical]
+        d = make_dict(standards)
+        for mode in (STANDARD, MODIFIED):
+            assert best_matches(queries, d, mode=mode, eq=eq) == [
+                best_match(q, d, mode=mode, eq=eq) for q in queries
+            ], (longest, mode)
 
 
 def test_indexed_search_past_int16_distances():

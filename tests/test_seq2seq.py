@@ -460,6 +460,59 @@ def test_sigmoid_matches_the_where_form_bit_for_bit():
     assert np.array_equal(sample.view(np.uint64), before.view(np.uint64))
 
 
+def _masked_sigmoid(x):
+    # the form _sigmoid replaced: one exp, then 1.0 copied in where x >= 0
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, d, out=e)
+
+
+def _reference_lstm_step(x, h_prev, c_prev, layer):
+    # lstm_step as it was before its sums were built in place
+    w_x, w_h, b = layer
+    hdim = w_h.shape[0]
+    z = (w_x[x] if x.ndim == 1 else x @ w_x) + h_prev @ w_h + b
+    i_f = _masked_sigmoid(z[:, : 2 * hdim])
+    i, f = i_f[:, :hdim], i_f[:, hdim:]
+    g = np.tanh(z[:, 2 * hdim : 3 * hdim])
+    o = _masked_sigmoid(z[:, 3 * hdim :])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, g, o, tc), z
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", [1, 7, 32, 33])
+@pytest.mark.parametrize("dense", [False, True])
+def test_lstm_step_matches_the_reference_expressions_bit_for_bit(rows, dense):
+    rng = np.random.default_rng(rows)
+    hidden, vocab = 16, 9
+    # weights this large saturate the gates both ways and drive some
+    # pre-activations below -745, where exp underflows to 0
+    layer = (
+        rng.uniform(-300, 300, (vocab, 4 * hidden)),
+        rng.uniform(-300, 300, (hidden, 4 * hidden)),
+        rng.uniform(-300, 300, 4 * hidden),
+    )
+    x = rng.normal(size=(rows, vocab)) if dense else rng.integers(0, vocab, rows)
+    # strided states: every other column of one array, every other row of another
+    h_prev = rng.uniform(-1, 1, (rows, 2 * hidden))[:, ::2]
+    c_prev = rng.uniform(-3, 3, (2 * rows, hidden))[::2]
+    z_seen = []
+    for _ in range(3):
+        h, c, cache = lstm_step(x, h_prev, c_prev, layer)
+        h_ref, c_ref, cache_ref, z = _reference_lstm_step(x, h_prev, c_prev, layer)
+        z_seen.append(z)
+        for got, want in zip((h, c, *cache), (h_ref, c_ref, *cache_ref), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        h_prev, c_prev = h, c
+    z_all = np.concatenate([z.ravel() for z in z_seen])
+    assert (z_all >= 0).any() and ((z_all < 0) & (z_all > -745)).any() and (z_all < -745).any()
+
+
 def test_train_rejects_empty_lexicon():
     with pytest.raises(ValueError):
         train(ParallelLexicon(entries=()), TrainingConfig(epochs=1))

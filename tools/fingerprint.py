@@ -24,6 +24,10 @@ Each line is `<name> <sha256>`, covering:
   and 4, text then structured, on an input that gives every test word twice
   and once more as a variant (in capitals, or with a doubled letter
   stretched to three), which pre-normalizes like the word itself;
+* cli.normalize.long: the same CLI's structured `normalize` stdout under
+  setups 1 and 2 on generate_benchmark()'s dictionary, for every test word
+  pre-normalized and repeated past 127 characters, so matching runs on
+  int16 tables rather than int8 ones;
 * cli.normalize.dict5k.setup<s>: the same CLI's structured `normalize`
   stdout under setups 1 and 2 on the test inputs of a 5,000-entry benchmark
   that `generate` writes as generate_benchmark(seed=7, dict_size=5000,
@@ -36,8 +40,9 @@ Each line is `<name> <sha256>`, covering:
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has. The script imports
 only long-standing library names (generate_benchmark, train, infer, the
-checkpoint functions and cli.main; the dict5k lines use cli.main alone), so
-it also runs against older trees.
+checkpoint functions, prenormalize and cli.main; the dict5k lines use
+cli.main alone, the long line cli.main and prenormalize), so it also runs
+against older trees.
 """
 
 import os
@@ -142,6 +147,15 @@ def main() -> None:
         emit("cli.normalize.repeats", b"".join(
             cli_stdout(["normalize", "--input", str(repeats_path), "--setup", setup, "--format", fmt, *common])
             for setup in "24" for fmt in ("text", "structured")))
+
+        long_path = tmp / "long.txt"
+        test_forms = [prenormalize(noisy) for noisy, _ in bench.testset.entries]
+        long_words = [form * (127 // len(form) + 1) for form in test_forms]
+        long_path.write_text("".join(f"{w}\n" for w in long_words), encoding="utf-8")
+        emit("cli.normalize.long", b"".join(
+            cli_stdout(["normalize", "--input", str(long_path), "--dict", str(dict_path),
+                        "--setup", setup, "--format", "structured"])
+            for setup in "12"))
 
         big = tmp / "dict5k"
         cli_stdout(["generate", "--out-dir", str(big), "--seed", "7", "--dict-size", "5000",
