@@ -31,7 +31,6 @@ from .matcher import (
     EquivalenceClasses,
     MatchResult,
     best_match,
-    best_match_pruned,
     best_matches,
     canonicalize,
     levenshtein,
@@ -76,7 +75,6 @@ __all__ = [
     "TrainingTrace",
     "TransliterationDictionary",
     "best_match",
-    "best_match_pruned",
     "best_matches",
     "build_alphabet",
     "canonicalize",

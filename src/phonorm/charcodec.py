@@ -51,11 +51,12 @@ class Alphabet:
         if len(set(self.content)) != len(self.content):
             raise ValueError("duplicate content characters")
 
-    @property
-    def reserved(self) -> tuple[str, ...]:
+    @cached_property
+    def symbols(self) -> tuple[str, ...]:
+        """Every index's symbol: the reserved markers, then content."""
         if self.side == SOURCE:
-            return (PAD_MARKER,)
-        return (PAD_MARKER, START_MARKER, END_MARKER)
+            return (PAD_MARKER, *self.content)
+        return (PAD_MARKER, START_MARKER, END_MARKER, *self.content)
 
     @property
     def pad_index(self) -> int:
@@ -71,15 +72,11 @@ class Alphabet:
 
     @property
     def size(self) -> int:
-        return len(self.reserved) + len(self.content)
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return self.reserved + self.content
+        return len(self.symbols)
 
     @cached_property
     def _content_index(self) -> dict[str, int]:
-        offset = len(self.reserved)
+        offset = self.size - len(self.content)
         return {ch: offset + pos for pos, ch in enumerate(self.content)}
 
     def __contains__(self, ch: str) -> bool:
@@ -139,14 +136,13 @@ def decode(indices: Sequence[int], alphabet: Alphabet) -> str:
     Pad (and the target-side start marker) are skipped; the end marker stops
     decoding. Out-of-range indices are errors.
     """
-    # each of these properties builds its value anew, so read them once
-    size, symbols, end = alphabet.size, alphabet.symbols, alphabet.end_index
+    symbols, end = alphabet.symbols, alphabet.end_index
     skipped = (alphabet.pad_index, alphabet.start_index)
     chars = []
     for index in indices:
         i = int(index)
-        if not 0 <= i < size:
-            raise EncodingError(f"index {i} out of range for alphabet of size {size}")
+        if not 0 <= i < len(symbols):
+            raise EncodingError(f"index {i} out of range for alphabet of size {len(symbols)}")
         if i in skipped:
             continue
         if i == end:

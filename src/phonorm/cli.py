@@ -32,7 +32,7 @@ from .lexicon import (
     save_parallel_lexicon,
     save_test_set,
 )
-from .matcher import DEFAULT_EQUIVALENCE_CLASSES, MODIFIED, STANDARD, load_equivalence_classes
+from .matcher import DEFAULT_EQUIVALENCE_CLASSES, MODES, MODIFIED, load_equivalence_classes
 from .pipeline import BatchError, SetupId, normalize_setups
 from .prenorm import load_digit_table
 from .seq2seq import TrainingConfig, load_checkpoint, save_checkpoint, train
@@ -46,6 +46,8 @@ GENERATE_DEFAULTS = {
     name: parameter.default for name, parameter in inspect.signature(generate_benchmark).parameters.items()
     if type(parameter.default) in (int, float)
 }
+# --setup's values: each setup by the number in its name
+SETUPS_BY_NUMBER = {setup.label.removeprefix("setup_"): setup for setup in SetupId}
 
 
 def _emit(record: dict, fmt: str, text_line: str) -> None:
@@ -116,7 +118,7 @@ def _load_setups(args, parser):
     if args.setup == "all":
         setups = list(SetupId)
     elif args.setup is not None:
-        setups = [SetupId.parse(args.setup)]
+        setups = [SETUPS_BY_NUMBER[args.setup]]
     else:
         setups = [SetupId.of(model is not None, args.mode or MODIFIED)]
     if model is None and any(setup.uses_model for setup in setups):
@@ -259,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="normalize words against a dictionary")
     p_norm.set_defaults(run=cmd_normalize)
     group = p_norm.add_mutually_exclusive_group()
-    group.add_argument("--setup", choices=["1", "2", "3", "4"],
+    group.add_argument("--setup", choices=list(SETUPS_BY_NUMBER),
                        help="ablation setup (overrides --mode and model use)")
-    group.add_argument("--mode", choices=[STANDARD, MODIFIED],
+    group.add_argument("--mode", choices=list(MODES),
                        help="matching distance (default: modified)")
     p_norm.add_argument("--fail-fast", action="store_true",
                         help="stop with a nonzero exit at the first failed word")
@@ -274,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="score a test set under one or all setups")
     p_eval.set_defaults(run=cmd_evaluate)
     p_eval.add_argument("--testset", required=True, help="noisy<TAB>gold pairs")
-    p_eval.add_argument("--setup", choices=["1", "2", "3", "4", "all"], default="all")
+    p_eval.add_argument("--setup", choices=[*SETUPS_BY_NUMBER, "all"], default="all")
 
     p_gen = sub.add_parser("generate", parents=[output], help="write a seeded synthetic benchmark")
     p_gen.set_defaults(run=cmd_generate)

@@ -135,7 +135,7 @@ def evaluate_setups(
                         first_degree=outcome.first_degree,
                         final=outcome.final,
                         distance=outcome.distance,
-                        oov=gold not in dictionary.standard_set,
+                        oov=not dictionary.natives(gold),
                     )
                 )
         reports.append(

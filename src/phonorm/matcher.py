@@ -12,14 +12,13 @@ dynamic program.
 
 best_match is the reference: it scans every standard with the pure-Python
 dynamic program. best_matches returns the identical result for each query of
-a list, in input order, and best_match_pruned is best_matches of a batch of
-one. A query equal to a standard is answered from the dictionary's hash of
-its raw standards. All other queries of a call go through one kernel: the
-same dynamic program, one query character at a time, over every (query,
-standard) pair at once, on an index built once per (dictionary,
-canonicalization) and kept on the dictionary. The kernel takes at most
-MATCH_CHUNK_CELLS query x standard pairs per pass, so its scratch memory per
-pass is bounded whatever the call.
+a list, in input order. A query equal to a standard is answered from the
+dictionary's hash of its raw standards. All other queries of a call go
+through one kernel: the same dynamic program, one query character at a time,
+over every (query, standard) pair at once, on an index built once per
+(dictionary, canonicalization) and kept on the dictionary. The kernel takes
+at most MATCH_CHUNK_CELLS query x standard pairs per pass, so its scratch
+memory per pass is bounded whatever the call.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .lexicon import TransliterationDictionary
 
 STANDARD = "standard"
 MODIFIED = "modified"
-_MODES = (STANDARD, MODIFIED)
+MODES = (STANDARD, MODIFIED)
 
 
 class EquivalenceClassError(ValueError):
@@ -65,14 +64,10 @@ class EquivalenceClasses:
         return cls(tuple(frozenset(group) for group in groups))
 
     @cached_property
-    def representative_map(self) -> dict[str, str]:
-        # representative = lowest code point in the class, deterministic
-        return {ch: min(cls) for cls in self.classes for ch in cls}
-
-    @cached_property
     def _translation(self) -> dict[int, str]:
-        """The str.translate table that maps every member to its representative."""
-        return str.maketrans(self.representative_map)
+        """The str.translate table that maps every member to its representative,
+        the lowest code point of its class, so the choice is deterministic."""
+        return str.maketrans({ch: min(cls) for cls in self.classes for ch in cls})
 
 
 DEFAULT_EQUIVALENCE_CLASSES = EquivalenceClasses.from_strings(("ao", "bv"))
@@ -147,7 +142,7 @@ def _canonicalization(dictionary, mode: str, eq: EquivalenceClasses) -> Equivale
         return NO_EQUIVALENCE
     if mode == MODIFIED:
         return eq
-    raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def best_match(
@@ -315,13 +310,3 @@ def best_matches(
                 mode=mode,
             )
     return results
-
-
-def best_match_pruned(
-    query: str,
-    dictionary: TransliterationDictionary,
-    mode: str = MODIFIED,
-    eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
-) -> MatchResult:
-    """best_match from the dictionary's index: best_matches of a batch of one."""
-    return best_matches([query], dictionary, mode, eq)[0]

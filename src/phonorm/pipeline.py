@@ -15,6 +15,7 @@ from .charcodec import EncodingError, encode
 from .lexicon import TransliterationDictionary
 from .matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
+    MODES,
     MODIFIED,
     STANDARD,
     EquivalenceClasses,
@@ -47,20 +48,12 @@ class SetupId(enum.Enum):
         return self.value[1]
 
     @classmethod
-    def parse(cls, text: str) -> "SetupId":
-        """Accept '1'..'4' or 'setup_1'..'setup_4'."""
-        member = cls.__members__.get("SETUP_" + text.strip().lower().removeprefix("setup_"))
-        if member is None:
-            raise ValueError(f"unknown setup {text!r} (expected 1-4 or setup_1..setup_4)")
-        return member
-
-    @classmethod
     def of(cls, uses_model: bool, mode: str) -> "SetupId":
         """The setup that runs (or skips) the first degree and matches under mode."""
         try:
             return cls((uses_model, mode))
         except ValueError:
-            raise ValueError(f"mode must be one of {(STANDARD, MODIFIED)}, got {mode!r}") from None
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -137,12 +137,11 @@ def init_model_params(
     hidden_dim: int,
     num_layers: int,
     rng: np.random.Generator,
-    init_scale: float = 0.08,
 ) -> ModelParams:
-    """Draw every tensor uniformly from [-init_scale, init_scale]."""
+    """Draw every tensor uniformly from [-INIT_SCALE, INIT_SCALE]."""
     _check_dimensions(hidden_dim, num_layers, max_len)
     shapes = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
-    tensors = {name: rng.uniform(-init_scale, init_scale, size=shape) for name, shape in shapes.items()}
+    tensors = {name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape) for name, shape in shapes.items()}
     return ModelParams(source_alphabet, target_alphabet, max_len, tensors)
 
 
@@ -463,7 +462,9 @@ class TrainingConfig:
     rng_seed: int = 0
 
 
-# rmsprop: decay of the mean squared gradient, and the step denominator's floor
+# initial weights are uniform in [-INIT_SCALE, INIT_SCALE]; rmsprop: decay of
+# the mean squared gradient, and the step denominator's floor
+INIT_SCALE = 0.08
 RMSPROP_RHO = 0.9
 RMSPROP_EPSILON = 1e-8
 
@@ -538,9 +539,10 @@ def train(
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
     if not pairs:
         raise ValueError("training lexicon is empty")
-    for src, tgt in pairs:
-        if not src or not tgt:
-            raise ValueError("training pairs must be non-empty after pre-normalization")
+    # the pipeline's rule: a blank form has no answer, so no pair may teach one
+    for number, (src, tgt) in enumerate(pairs, start=1):
+        if not src.strip() or not tgt.strip():
+            raise ValueError(f"training pair {number} ({src!r}, {tgt!r}) is blank after pre-normalization")
 
     source_alphabet = build_alphabet((s for s, _ in pairs), SOURCE)
     target_alphabet = build_alphabet((t for _, t in pairs), TARGET)

@@ -26,7 +26,7 @@ from phonorm.matcher import (
     MODIFIED,
     STANDARD,
     best_match,
-    best_match_pruned,
+    best_matches,
     canonicalize,
     levenshtein,
     modified_levenshtein,
@@ -170,9 +170,7 @@ def test_criterion_04_pruned_search_equals_full_scan():
             query = word(0, 8)
             mode = MODIFIED if trials % 2 else STANDARD
             trials += 1
-            assert best_match_pruned(query, dictionary, mode=mode) == best_match(
-                query, dictionary, mode=mode
-            )
+            assert best_matches([query], dictionary, mode)[0] == best_match(query, dictionary, mode=mode)
     assert trials == 1_000
 
 

@@ -349,6 +349,24 @@ def test_train_rejects_a_lexicon_longer_than_the_max_len_limit(capsys, tmp_path)
     assert list(checkpoint.parent.iterdir()) == []
 
 
+def test_train_rejects_a_blank_source_before_writing(capsys, tmp_path):
+    # trained with it, the model's source alphabet would be the characters
+    # seen, not a-z, and "bala" could no longer be normalized under setup 4
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("kaal\tkaal\n \tkaal\nchala\tchala\n", encoding="utf-8")
+    checkpoint = tmp_path / "out" / "m.ckpt"
+    checkpoint.parent.mkdir()
+    code, out, err = run(
+        capsys,
+        ["train", "--lexicon", str(lexicon), "--checkpoint", str(checkpoint),
+         "--epochs", "2", "--hidden-dim", "8"],
+    )
+    assert code == 4
+    assert err == "error: training pair 2 (' ', 'kaal') is blank after pre-normalization\n"
+    assert out == ""
+    assert list(checkpoint.parent.iterdir()) == []
+
+
 def test_normalize_model_setup_requires_checkpoint(workspace):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "x", "--dict", str(workspace / "dict.tsv"), "--setup", "3"])

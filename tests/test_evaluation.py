@@ -39,16 +39,6 @@ def make_dict(standards):
 # setups
 
 
-def test_setup_parse_accepts_numbers_and_names():
-    assert SetupId.parse("1") is SetupId.SETUP_1
-    assert SetupId.parse("setup_4") is SetupId.SETUP_4
-    assert SetupId.parse(" 3 ") is SetupId.SETUP_3
-    assert SetupId.parse("SETUP_2") is SetupId.SETUP_2
-    for bad in ("0", "5", "setup_5", "", "full"):
-        with pytest.raises(ValueError):
-            SetupId.parse(bad)
-
-
 def test_setup_properties():
     assert not SetupId.SETUP_1.uses_model and SetupId.SETUP_1.mode == "standard"
     assert not SetupId.SETUP_2.uses_model and SetupId.SETUP_2.mode == "modified"

@@ -42,7 +42,7 @@ def test_normalize_digit_expansion_reaches_matching():
 
 
 def test_normalize_with_model_uses_decoder_output(tiny_model):
-    from phonorm.matcher import best_match_pruned
+    from phonorm.matcher import best_matches
 
     d = make_dict(["kala", "bodo"])
     result = normalize("kaLa", d, model=tiny_model, mode=MODIFIED)
@@ -50,7 +50,7 @@ def test_normalize_with_model_uses_decoder_output(tiny_model):
     # the first degree is exactly what the decoder produces for the prenorm
     decoded = infer(tiny_model, "kala")
     assert result.first_degree == decoded
-    expected = best_match_pruned(decoded or "kala", d, mode=MODIFIED)
+    (expected,) = best_matches([decoded or "kala"], d, MODIFIED)
     assert result.final == expected.matched_standard
     assert result.distance == expected.distance
 

@@ -47,6 +47,20 @@ def tiny_params(seed: int = 9, hidden_dim: int = 4, max_len: int = 5):
     )
 
 
+def wide_random_params():
+    """A seeded random model with weights uniform in [-3, 3] rather than the
+    fixed initial range: init_model_params's draws, from the same seed in the
+    same tensor order, at a larger scale."""
+    source = build_alphabet(["abcdefghijklmnopqrstuvwxyz"], SOURCE)
+    target = build_alphabet(["abdegiklmnostu"], TARGET)
+    params = init_model_params(source, target, max_len=8, hidden_dim=8, num_layers=2,
+                               rng=np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    for name, tensor in params.tensors.items():
+        params.tensors[name] = rng.uniform(-3.0, 3.0, size=tensor.shape)
+    return params
+
+
 def small_lexicon() -> ParallelLexicon:
     words = ["kala", "kolo", "bavi", "dumi", "sela", "gato", "mibu", "lodi",
              "tabe", "vuko", "pina", "drot"]
@@ -72,12 +86,7 @@ def test_tensor_writes_in_place_show_through_the_layer_views():
 def test_rebound_tensors_reach_the_layer_views_inference_and_checkpoints(tmp_path):
     # the views are read from tensors on each access, so a new array bound
     # to a name is what infer_batch runs and what save_checkpoint writes
-    source = build_alphabet(["abcdefghijklmnopqrstuvwxyz"], SOURCE)
-    target = build_alphabet(["abdegiklmnostu"], TARGET)
-    params = init_model_params(
-        source, target, max_len=8, hidden_dim=8, num_layers=2,
-        rng=np.random.default_rng(1), init_scale=3.0,
-    )
+    params = wide_random_params()
     words = ["kala", "bavi", "dumi", "sela"]
     before = infer_batch(params, words)  # reads the views before the rebinding
     params.tensors["enc0.w_x"] = -params.tensors["enc0.w_x"]
@@ -150,12 +159,7 @@ def test_lstm_step_index_input_equals_one_hot_product():
 
 def test_greedy_decodes_of_a_seeded_random_model_are_pinned():
     # a large init scale keeps the decodes varied in symbols and length
-    source = build_alphabet(["abcdefghijklmnopqrstuvwxyz"], SOURCE)
-    target = build_alphabet(["abdegiklmnostu"], TARGET)
-    params = init_model_params(
-        source, target, max_len=8, hidden_dim=8, num_layers=2,
-        rng=np.random.default_rng(1), init_scale=3.0,
-    )
+    params = wide_random_params()
     golden = {
         "": "aasaba", "a": "asauaba", "kala": "ebauaba", "bodo": "asauaba",
         "gato": "ebaababa", "mibu": "bkabas", "zzzz": "ubaauaba",
@@ -188,13 +192,8 @@ def test_batched_and_single_decodes_agree(zero_model):
     words = ["".join(rng.choice(letters, size=rng.integers(0, 9))) for _ in range(count)]
     # the pinned model above, pushed toward the end marker so that its rows
     # end at different steps or never
-    source = build_alphabet(letters, SOURCE)
-    target = build_alphabet(["abdegiklmnostu"], TARGET)
-    params = init_model_params(
-        source, target, max_len=8, hidden_dim=8, num_layers=2,
-        rng=np.random.default_rng(1), init_scale=3.0,
-    )
-    params.b_out[target.end_index] += 6.0
+    params = wide_random_params()
+    params.b_out[params.target_alphabet.end_index] += 6.0
     end_steps = {_first_end_step(params, word) for word in words}
     assert None in end_steps and len(end_steps - {None}) >= 3
     # the zero model with "a" favoured never emits the end marker
@@ -518,13 +517,26 @@ def test_train_rejects_empty_lexicon():
         train(ParallelLexicon(entries=()), TrainingConfig(epochs=1))
 
 
+@pytest.mark.parametrize("pair", [(" ", "kaal"), ("\t ", "kaal"), ("kaal", "  ")])
+def test_train_rejects_a_blank_pair_before_drawing_weights(monkeypatch, pair):
+    # the pipeline never serves a blank form; a blank source would also put
+    # " " in the source alphabet, which then no longer snaps to a-z
+    def no_draw(*args, **kwargs):
+        raise AssertionError("weights drawn for a lexicon with a blank pair")
+
+    monkeypatch.setattr("phonorm.seq2seq.init_model_params", no_draw)
+    lexicon = ParallelLexicon(entries=(("kaal", "kaal"), pair, ("chala", "chala")))
+    with pytest.raises(ValueError, match=r"^training pair 2 \(.*\) is blank after pre-normalization$"):
+        train(lexicon, TrainingConfig(epochs=2, hidden_dim=8))
+
+
 def test_diverging_train_raises_naming_the_tensor_and_the_epoch():
     lexicon = generate_benchmark(train_size=100).lexicon
     epochs = []
-    # the first update overflows; without errstate, pytest would raise the
-    # RuntimeWarning before train could check the tensors
+    # the first update overflows; train silences its own update, so no
+    # RuntimeWarning reaches pytest, which turns warnings into errors
     diverged = r"tensor \S+ holds non-finite values after epoch 1"
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match=diverged):
+    with pytest.raises(ValueError, match=diverged):
         train(lexicon, TrainingConfig(epochs=3, hidden_dim=8, learning_rate=1e308), on_epoch=epochs.append)
     assert epochs == []
 

@@ -28,6 +28,11 @@ Each line is `<name> <sha256>`, covering:
   setups 1 and 2 on generate_benchmark()'s dictionary, for every test word
   pre-normalized and repeated past 127 characters, so matching runs on
   int16 tables rather than int8 ones;
+* cli.custom_tables: the same CLI's structured stdout of `normalize` under
+  setups 2 and 4 and of `evaluate --setup all`, with an equivalence-class
+  file and a digit table that differ from the defaults, on
+  generate_benchmark()'s dictionary and test set plus words with digits,
+  so the two loaders and non-default classes reach the outputs;
 * cli.normalize.dict5k.setup<s>: the same CLI's structured `normalize`
   stdout under setups 1 and 2 on the test inputs of a 5,000-entry benchmark
   that `generate` writes as generate_benchmark(seed=7, dict_size=5000,
@@ -40,9 +45,9 @@ Each line is `<name> <sha256>`, covering:
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has. The script imports
 only long-standing library names (generate_benchmark, train, infer, the
-checkpoint functions, prenormalize and cli.main; the dict5k lines use
-cli.main alone, the long line cli.main and prenormalize), so it also runs
-against older trees.
+checkpoint functions, prenormalize and cli.main; the dict5k and
+custom_tables lines use cli.main alone, the long line cli.main and
+prenormalize), so it also runs against older trees.
 """
 
 import os
@@ -77,6 +82,11 @@ TRAINING_CONFIGS = {
 # words the checkpoint cannot encode: a foreign character, a digit that
 # expands past max_len, and an overlong word
 UNENCODABLE = ["kalé", "99999", "kalakalakalakala"]
+# non-default tables: classes unlike {a,o} and {b,v}, and a phone per digit
+# unlike DEFAULT_DIGIT_PHONES
+EQ_CLASSES = ["ao", "bvw", "ie"]
+DIGIT_PHONES = ["jiro", "wan", "tu", "tri", "for", "faib", "siks", "sabon", "eit", "nain"]
+DIGIT_WORDS = ["2", "ka2", "b4d", "mo9", "8ta", "si6", "1la", "d0bi", "ta7", "3ni", "5", "kaaa5"]
 
 
 def variant(index: int, word: str) -> str:
@@ -156,6 +166,19 @@ def main() -> None:
             cli_stdout(["normalize", "--input", str(long_path), "--dict", str(dict_path),
                         "--setup", setup, "--format", "structured"])
             for setup in "12"))
+
+        eq_path, digits_path, custom_path = tmp / "eq.txt", tmp / "digits.tsv", tmp / "custom.txt"
+        eq_path.write_text("".join(f"{group}\n" for group in EQ_CLASSES), encoding="utf-8")
+        digits_path.write_text("".join(f"{d}\t{p}\n" for d, p in enumerate(DIGIT_PHONES)), encoding="utf-8")
+        custom_path.write_text("".join(f"{w}\n" for w in words + DIGIT_WORDS), encoding="utf-8")
+        custom_test_path = tmp / "custom_testset.tsv"
+        custom_test_path.write_text(test_path.read_text(encoding="utf-8") + "".join(
+            f"{w}\t{gold}\n" for w, (_, gold) in zip(DIGIT_WORDS, bench.testset.entries)), encoding="utf-8")
+        tables = ["--eq-classes", str(eq_path), "--digit-table", str(digits_path), "--format", "structured"]
+        emit("cli.custom_tables", b"".join(
+            [cli_stdout(["normalize", "--input", str(custom_path), "--setup", setup, *tables, *common])
+             for setup in "24"]
+            + [cli_stdout(["evaluate", "--testset", str(custom_test_path), "--setup", "all", *tables, *common])]))
 
         big = tmp / "dict5k"
         cli_stdout(["generate", "--out-dir", str(big), "--seed", "7", "--dict-size", "5000",
