@@ -16,6 +16,7 @@ import inspect
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from .evaluation import (
@@ -32,7 +33,7 @@ from .lexicon import (
     save_parallel_lexicon,
     save_test_set,
 )
-from .matcher import DEFAULT_EQUIVALENCE_CLASSES, MODES, MODIFIED, load_equivalence_classes
+from .matcher import DEFAULT_EQUIVALENCE_CLASSES, MODIFIED, load_equivalence_classes
 from .pipeline import BatchError, SetupId, normalize_setups
 from .prenorm import load_digit_table
 from .seq2seq import TrainingConfig, load_checkpoint, save_checkpoint, train
@@ -46,6 +47,8 @@ GENERATE_DEFAULTS = {
     name: parameter.default for name, parameter in inspect.signature(generate_benchmark).parameters.items()
     if type(parameter.default) in (int, float)
 }
+# train's options: each TrainingConfig field, under its own name but for these
+TRAIN_FLAGS = {"rng_seed": "--seed", "learning_rate": "--lr", "num_layers": "--layers"}
 # --setup's values: each setup by the number in its name
 SETUPS_BY_NUMBER = {setup.label.removeprefix("setup_"): setup for setup in SetupId}
 
@@ -57,16 +60,28 @@ def _emit(record: dict, fmt: str, text_line: str) -> None:
         print(text_line)
 
 
-def _load_eq(args):
-    if args.eq_classes is not None:
-        return load_equivalence_classes(args.eq_classes)
-    return DEFAULT_EQUIVALENCE_CLASSES
+def _load_matching(args, parser):
+    """Load the matching options: (dictionary, model or None, setups, eq, digit table).
 
-
-def _load_digits(args):
-    if args.digit_table is not None:
-        return load_digit_table(args.digit_table)
-    return None
+    The setups follow from --setup and from whether --checkpoint was given,
+    so a model setup without a checkpoint is a usage error before any file
+    is read. Without --setup (normalize only) the setup is 4 with a
+    checkpoint and 2 without.
+    """
+    with_model = args.checkpoint is not None
+    if args.setup == "all":
+        setups = list(SetupId)
+    elif args.setup is not None:
+        setups = [SETUPS_BY_NUMBER[args.setup]]
+    else:
+        setups = [SetupId.of(with_model, MODIFIED)]
+    if not with_model and any(setup.uses_model for setup in setups):
+        parser.error(f"--setup {args.setup} needs --checkpoint")
+    dictionary = load_dictionary(args.dict)
+    eq = load_equivalence_classes(args.eq_classes) if args.eq_classes is not None else DEFAULT_EQUIVALENCE_CLASSES
+    digits = load_digit_table(args.digit_table) if args.digit_table is not None else None
+    model = load_checkpoint(args.checkpoint) if with_model else None
+    return dictionary, model, setups, eq, digits
 
 
 def _read_words(args) -> list[str]:
@@ -81,7 +96,7 @@ def _read_words(args) -> list[str]:
 # subcommands
 
 
-def cmd_train(args, parser) -> int:
+def cmd_train(args) -> int:
     lexicon = load_parallel_lexicon(args.lexicon)
     # each config option's dest is its TrainingConfig field
     config = TrainingConfig(**{field.name: getattr(args, field.name) for field in fields(TrainingConfig)})
@@ -108,29 +123,8 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
-def _load_setups(args, parser):
-    """Load --checkpoint and turn --setup / --mode into the setups to run.
-
-    Without --setup (normalize only) the setup follows from whether a
-    checkpoint was given and from --mode. Returns (model or None, setups).
-    """
-    model = load_checkpoint(args.checkpoint) if args.checkpoint is not None else None
-    if args.setup == "all":
-        setups = list(SetupId)
-    elif args.setup is not None:
-        setups = [SETUPS_BY_NUMBER[args.setup]]
-    else:
-        setups = [SetupId.of(model is not None, args.mode or MODIFIED)]
-    if model is None and any(setup.uses_model for setup in setups):
-        parser.error(f"--setup {args.setup} needs --checkpoint")
-    return model, setups
-
-
 def cmd_normalize(args, parser) -> int:
-    dictionary = load_dictionary(args.dict)
-    eq = _load_eq(args)
-    digits = _load_digits(args)
-    model, setups = _load_setups(args, parser)
+    dictionary, model, setups, eq, digits = _load_matching(args, parser)
     (outcomes,) = normalize_setups(_read_words(args), dictionary, model, setups, eq, digits)
     for outcome in outcomes:
         if isinstance(outcome, BatchError):
@@ -158,7 +152,7 @@ def cmd_normalize(args, parser) -> int:
     return 0
 
 
-def cmd_backtranslit(args, parser) -> int:
+def cmd_backtranslit(args) -> int:
     dictionary = load_dictionary(args.dict)
     for word in _read_words(args):
         natives = dictionary.natives(word)
@@ -171,11 +165,8 @@ def cmd_backtranslit(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
-    dictionary = load_dictionary(args.dict)
+    dictionary, model, setups, eq, digits = _load_matching(args, parser)
     testset = load_test_set(args.testset)
-    eq = _load_eq(args)
-    digits = _load_digits(args)
-    model, setups = _load_setups(args, parser)
     reports = evaluate_setups(testset, model, dictionary, setups, eq, digits)
     if args.format == STRUCTURED:
         for report in reports:
@@ -193,7 +184,7 @@ def cmd_evaluate(args, parser) -> int:
     return 0
 
 
-def cmd_generate(args, parser) -> int:
+def cmd_generate(args) -> int:
     bench = generate_benchmark(**{name: getattr(args, name) for name in GENERATE_DEFAULTS})
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -249,22 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lexicon", required=True, help="noisy<TAB>standard training pairs")
     p_train.add_argument("--checkpoint", required=True, help="where to write the trained model")
     p_train.add_argument("--trace", help="per-epoch TSV path (default: <checkpoint>.trace.tsv)")
-    p_train.add_argument("--seed", dest="rng_seed", type=int, default=TrainingConfig.rng_seed)
-    p_train.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
-    p_train.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
-    p_train.add_argument("--hidden-dim", type=int, default=TrainingConfig.hidden_dim)
-    p_train.add_argument("--lr", dest="learning_rate", type=float, default=TrainingConfig.learning_rate)
-    p_train.add_argument("--layers", dest="num_layers", type=int, default=TrainingConfig.num_layers)
-    p_train.add_argument("--validation-fraction", type=float, default=TrainingConfig.validation_fraction)
+    for field in fields(TrainingConfig):
+        flag = TRAIN_FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+        p_train.add_argument(flag, dest=field.name, type=type(field.default), default=field.default)
 
     p_norm = sub.add_parser("normalize", parents=[words, matching, output],
                             help="normalize words against a dictionary")
-    p_norm.set_defaults(run=cmd_normalize)
-    group = p_norm.add_mutually_exclusive_group()
-    group.add_argument("--setup", choices=list(SETUPS_BY_NUMBER),
-                       help="ablation setup (overrides --mode and model use)")
-    group.add_argument("--mode", choices=list(MODES),
-                       help="matching distance (default: modified)")
+    # the command gets its own parser, so a usage error shows its usage
+    p_norm.set_defaults(run=partial(cmd_normalize, parser=p_norm))
+    p_norm.add_argument("--setup", choices=list(SETUPS_BY_NUMBER),
+                        help="ablation setup (default: 4 with --checkpoint, 2 without)")
     p_norm.add_argument("--fail-fast", action="store_true",
                         help="stop with a nonzero exit at the first failed word")
 
@@ -274,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", parents=[matching, output],
                             help="score a test set under one or all setups")
-    p_eval.set_defaults(run=cmd_evaluate)
+    p_eval.set_defaults(run=partial(cmd_evaluate, parser=p_eval))
     p_eval.add_argument("--testset", required=True, help="noisy<TAB>gold pairs")
     p_eval.add_argument("--setup", choices=[*SETUPS_BY_NUMBER, "all"], default="all")
 
@@ -288,10 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

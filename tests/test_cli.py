@@ -175,13 +175,6 @@ def test_normalize_non_finite_checkpoint_is_data_error(workspace, capsys, tmp_pa
     assert "error:" in err and "out.w" in err
 
 
-def test_normalize_setup_and_mode_conflict(workspace):
-    with pytest.raises(SystemExit) as exc:
-        main(["normalize", "x", "--dict", str(workspace / "dict.tsv"),
-              "--setup", "2", "--mode", "standard"])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
@@ -367,10 +360,16 @@ def test_train_rejects_a_blank_source_before_writing(capsys, tmp_path):
     assert list(checkpoint.parent.iterdir()) == []
 
 
-def test_normalize_model_setup_requires_checkpoint(workspace):
-    with pytest.raises(SystemExit) as exc:
-        main(["normalize", "x", "--dict", str(workspace / "dict.tsv"), "--setup", "3"])
-    assert exc.value.code == 2
+def test_normalize_model_setup_requires_checkpoint(workspace, capsys):
+    # a usage error with normalize's usage, reported before any file is read
+    for dict_path in (workspace / "dict.tsv", workspace / "absent.tsv"):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "x", "--dict", str(dict_path), "--setup", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: phonorm normalize ")
+        assert captured.err.endswith("error: --setup 3 needs --checkpoint\n")
 
 
 def test_normalize_missing_dictionary_is_io_error(capsys, tmp_path):
@@ -474,11 +473,16 @@ def test_evaluate_single_setup_structured(workspace, capsys):
     assert 0.0 <= records[0]["accuracy"] <= 1.0
 
 
-def test_evaluate_all_without_checkpoint_is_usage_error(workspace):
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--testset", str(workspace / "testset.tsv"),
-              "--dict", str(workspace / "dict.tsv")])
-    assert exc.value.code == 2
+def test_evaluate_all_without_checkpoint_is_usage_error(workspace, capsys):
+    # a usage error with evaluate's usage, reported before any file is read
+    for testset, setup in (("testset.tsv", []), ("absent.tsv", ["--setup", "3"])):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--testset", str(workspace / testset), "--dict", str(workspace / "dict.tsv"), *setup])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: phonorm evaluate ")
+        assert captured.err.endswith(" needs --checkpoint\n")
 
 
 def test_evaluate_empty_testset_is_data_error(workspace, capsys):

@@ -40,20 +40,30 @@ Each line is `<name> <sha256>`, covering:
   large enough that a call scores its queries in several chunks;
 * cli.normalize.dict5k.single: the same CLI's structured `normalize <word>`
   stdout under setup 2, one call per word for the first 100 of those test
-  inputs, concatenated, so each non-exact word is a kernel pass of its own.
+  inputs, concatenated, so each non-exact word is a kernel pass of its own;
+* cli.errors: the exit code, stdout and stderr of the same CLI for each of
+  a fixed list of failing calls (usage errors, missing and malformed input
+  files, a --fail-fast stop, bad training and generate options), with the
+  temporary directory's path replaced by a fixed token, so the exit codes
+  and error messages README's table describes are covered too. argparse
+  words its messages differently from one Python version to the next, so
+  compare this line only between runs of one interpreter.
 
 BLAS is pinned to one thread before numpy is imported, so the float
-results do not depend on how many cores the machine has. The script imports
-only long-standing library names (generate_benchmark, train, infer, the
-checkpoint functions, prenormalize and cli.main; the dict5k and
-custom_tables lines use cli.main alone, the long line cli.main and
-prenormalize), so it also runs against older trees.
+results do not depend on how many cores the machine has, and argparse's
+line width to 80 columns, so its usage text does not depend on the
+terminal. The script imports only long-standing library names
+(generate_benchmark, train, infer, the checkpoint functions, prenormalize
+and cli.main; the dict5k, custom_tables and errors lines use cli.main
+alone, the long line cli.main and prenormalize), so it also runs against
+older trees.
 """
 
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -105,6 +115,17 @@ def cli_stdout(argv: list[str]) -> bytes:
     with contextlib.redirect_stdout(out):
         cli.main(argv)
     return out.getvalue().encode("utf-8")
+
+
+def cli_outcome(argv: list[str]) -> bytes:
+    """The exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode("utf-8")
 
 
 def main() -> None:
@@ -195,6 +216,31 @@ def main() -> None:
             cli_stdout(["normalize", word, "--dict", str(big / "dictionary.tsv"),
                         "--setup", "2", "--format", "structured"])
             for word in big_words[:100]))
+
+        one_column, one_char_eq, short_digits = tmp / "one_column.tsv", tmp / "one_char_eq.txt", tmp / "short.tsv"
+        one_column.write_text(dict_path.read_text(encoding="utf-8") + "kala\n", encoding="utf-8")
+        one_char_eq.write_text("ao\nb\n", encoding="utf-8")
+        short_digits.write_text("".join(f"{d}\t{p}\n" for d, p in enumerate(DIGIT_PHONES[:9])), encoding="utf-8")
+        truncated = tmp / "truncated.ckpt"
+        truncated.write_bytes(CHECKPOINT.read_bytes()[:1000])
+        absent = str(tmp / "absent.tsv")
+        failing_calls = [
+            # a model setup without --checkpoint, with an input file missing
+            ["normalize", "kala", "--dict", absent, "--setup", "3"],
+            ["evaluate", "--testset", absent, "--dict", str(dict_path), "--setup", "3"],
+            ["normalize", "kala", "--dict", absent],
+            ["normalize", "kala", "--dict", str(one_column)],
+            # an unknown setup on evaluate, whose usage text older trees share
+            ["evaluate", "--testset", str(test_path), "--dict", str(dict_path), "--setup", "5"],
+            ["normalize", "kala", "--dict", str(dict_path), "--eq-classes", str(one_char_eq)],
+            ["normalize", "ka2", "--dict", str(dict_path), "--digit-table", str(short_digits)],
+            ["normalize", "kala", "--dict", str(dict_path), "--checkpoint", str(truncated), "--setup", "4"],
+            ["normalize", "kala", "kalé", "bodo", "--fail-fast", "--setup", "4", *common],
+            ["train", "--lexicon", str(big / "lexicon.tsv"), "--checkpoint", str(tmp / "nan.ckpt"), "--lr", "nan"],
+            ["generate", "--out-dir", str(tmp / "huge"), "--dict-size", "100000"],
+        ]
+        emit("cli.errors", b"".join(cli_outcome(argv) for argv in failing_calls).replace(
+            str(tmp).encode("utf-8"), b"<tmp>"))
 
 
 if __name__ == "__main__":
