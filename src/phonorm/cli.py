@@ -97,9 +97,10 @@ def _read_words(args) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    lexicon = load_parallel_lexicon(args.lexicon)
-    # each config option's dest is its TrainingConfig field
+    # each config option's dest is its TrainingConfig field; the config checks
+    # itself, so a bad option is reported before any file is read
     config = TrainingConfig(**{field.name: getattr(args, field.name) for field in fields(TrainingConfig)})
+    lexicon = load_parallel_lexicon(args.lexicon)
 
     def report(rec):
         text = (
@@ -283,6 +284,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

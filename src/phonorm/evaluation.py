@@ -348,12 +348,14 @@ def generate_benchmark(
             f"({dict_size} requested, {space} distinct words)"
         )
     max_draws = 1000 * dict_size
+    # raised before drawing if the draws almost surely fall short, and if they do
+    out_of_reach = (
+        f"word space out of reach for the requested dictionary size ({dict_size} "
+        f"requested; {max_draws} draws at coda probability {coda_probability} "
+        f"almost surely find fewer distinct words)"
+    )
     if _out_of_reach(dict_size, shapes, max_draws):
-        raise ValueError(
-            f"word space out of reach for the requested dictionary size ({dict_size} "
-            f"requested; {max_draws} draws at coda probability {coda_probability} "
-            f"almost surely find fewer distinct words)"
-        )
+        raise ValueError(out_of_reach)
     rng = np.random.default_rng(seed)
     scaled = NoiseModel().scaled(noise_rate)
 
@@ -363,7 +365,7 @@ def generate_benchmark(
     while len(vocab) < dict_size:
         attempts += 1
         if attempts > max_draws:
-            raise ValueError("word space too small for the requested dictionary size")
+            raise ValueError(out_of_reach)
         word = random_word(rng, min_syllables, max_syllables, coda_probability, consonants)
         key = canonicalize(word, DEFAULT_EQUIVALENCE_CLASSES)
         if key not in seen:

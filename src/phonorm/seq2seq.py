@@ -116,11 +116,16 @@ def _expected_shapes(
     return shapes
 
 
-def _check_dimensions(hidden_dim: int, num_layers: int, max_len: int) -> None:
-    """Raise ValueError naming the first dimension a model may not have."""
-    for name, value in (("hidden_dim", hidden_dim), ("num_layers", num_layers), ("max_len", max_len)):
+def _check_positive(**values: int) -> None:
+    """Raise ValueError naming the first of values that is below 1."""
+    for name, value in values.items():
         if value < 1:
             raise ValueError(f"{name} must be positive (got {value})")
+
+
+def _check_dimensions(hidden_dim: int, num_layers: int, max_len: int) -> None:
+    """Raise ValueError naming the first dimension a model may not have."""
+    _check_positive(hidden_dim=hidden_dim, num_layers=num_layers, max_len=max_len)
     if max_len > MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT} (got {max_len})")
 
@@ -401,14 +406,8 @@ def batch_loss(params: ModelParams, batch: Batch) -> BatchMetrics:
     return _masked_metrics(probs, batch)
 
 
-@dataclass(eq=False)
-class BatchResult:
-    grads: dict[str, np.ndarray]
-    metrics: BatchMetrics
-
-
-def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
-    """Mean masked cross-entropy over the batch plus gradients for every tensor.
+def loss_and_gradients(params: ModelParams, batch: Batch) -> tuple[dict[str, np.ndarray], BatchMetrics]:
+    """Gradients of the mean masked cross-entropy for every tensor, and the batch's metrics.
 
     The loss averages -log p(target symbol) over real (unmasked) target
     positions only; padded positions are excluded from both the loss and the
@@ -444,7 +443,7 @@ def loss_and_gradients(params: ModelParams, batch: Batch) -> BatchResult:
             )
             grads.update(zip(_layer_names(tag, index), layer_grads))
 
-    return BatchResult(grads=grads, metrics=metrics)
+    return grads, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +459,17 @@ class TrainingConfig:
     learning_rate: float = 0.001
     validation_fraction: float = 0.1
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Raise ValueError naming the first field, in field order, that no run can use."""
+        _check_positive(hidden_dim=self.hidden_dim, num_layers=self.num_layers,
+                        batch_size=self.batch_size, epochs=self.epochs)
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be a positive finite number")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValueError("validation_fraction must be in [0, 1)")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative (got {self.rng_seed})")
 
 
 # initial weights are uniform in [-INIT_SCALE, INIT_SCALE]; rmsprop: decay of
@@ -526,16 +536,6 @@ def train(
     and the initial weights all come from one seeded generator, so a given
     (lexicon, config) always yields the same model.
     """
-    if config.epochs < 1:
-        raise ValueError("epochs must be positive")
-    if config.batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if not 0.0 < config.learning_rate < np.inf:
-        raise ValueError("learning_rate must be a positive finite number")
-    if not 0.0 <= config.validation_fraction < 1.0:
-        raise ValueError("validation_fraction must be in [0, 1)")
-    if config.rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative (got {config.rng_seed})")
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
     if not pairs:
         raise ValueError("training lexicon is empty")
@@ -543,6 +543,9 @@ def train(
     for number, (src, tgt) in enumerate(pairs, start=1):
         if not src.strip() or not tgt.strip():
             raise ValueError(f"training pair {number} ({src!r}, {tgt!r}) is blank after pre-normalization")
+    n_val = int(round(len(pairs) * config.validation_fraction))
+    if n_val >= len(pairs):
+        raise ValueError("validation split leaves no training data")
 
     source_alphabet = build_alphabet((s for s, _ in pairs), SOURCE)
     target_alphabet = build_alphabet((t for _, t in pairs), TARGET)
@@ -554,9 +557,6 @@ def train(
     )
 
     perm = rng.permutation(len(pairs))
-    n_val = int(round(len(pairs) * config.validation_fraction))
-    if n_val >= len(pairs):
-        raise ValueError("validation split leaves no training data")
     # every pair encoded once, in perm order: validation rows first
     encoded = prepare_batch([pairs[i] for i in perm], source_alphabet, target_alphabet, max_len)
     val_batch = encoded.rows(slice(None, n_val)) if n_val else None
@@ -569,13 +569,13 @@ def train(
         order = rng.permutation(train_batch.size)
         seen = BatchMetrics(0.0, 0, 0, 0, 0)
         for start in range(0, train_batch.size, config.batch_size):
-            result = loss_and_gradients(params, train_batch.rows(order[start : start + config.batch_size]))
-            seen += result.metrics
+            grads, metrics = loss_and_gradients(params, train_batch.rows(order[start : start + config.batch_size]))
+            seen += metrics
             # an update that overflows is reported below as divergence, not
             # as numpy warnings, and before a forward pass runs on its result
             with np.errstate(over="ignore", invalid="ignore"):
                 for name, tensor in params.tensors.items():
-                    grad = result.grads[name]
+                    grad = grads[name]
                     cache = rms_cache[name]
                     cache *= RMSPROP_RHO
                     cache += (1.0 - RMSPROP_RHO) * grad * grad
@@ -734,13 +734,8 @@ def _read_checkpoint(path, fh) -> ModelParams:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
 
     expected = _expected_shapes(source_alphabet.size, target_alphabet.size, hidden_dim, num_layers)
-    if [name for name, _ in manifest] != list(expected):
+    if manifest != list(expected.items()):
         raise CheckpointError(f"{path}: tensor manifest does not match the declared dimensions")
-    for name, shape in manifest:
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {shape}, expected {expected[name]}"
-            )
 
     counts = [math.prod(shape) for _, shape in manifest]
     # the file holds little-endian float64; room for no more than it has, so

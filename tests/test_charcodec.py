@@ -57,6 +57,16 @@ def test_build_alphabet_empty_corpus():
         build_alphabet([""], TARGET)
 
 
+@pytest.mark.parametrize(
+    "side, content, message",
+    [("middle", ("a",), "side must be"), (SOURCE, (), "at least one content character"),
+     (TARGET, ("a", "bc"), "single characters"), (SOURCE, ("a", "b", "a"), "duplicate content")],
+)
+def test_alphabet_rejects_bad_side_and_content(side, content, message):
+    with pytest.raises(ValueError, match=message):
+        Alphabet(side=side, content=content)
+
+
 def test_encode_source_pads_to_max_len():
     ab = build_alphabet(["abç"], SOURCE)
     enc = encode(["ba"], ab, max_len=5)

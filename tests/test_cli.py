@@ -186,16 +186,19 @@ def test_normalize_non_finite_checkpoint_is_data_error(workspace, capsys, tmp_pa
 )
 def test_train_rejects_unrunnable_config_before_writing(workspace, capsys, tmp_path, flag, value, field):
     checkpoint = tmp_path / "m.ckpt"
-    code, out, err = run(
-        capsys,
-        ["train", "--lexicon", str(workspace / "lexicon.tsv"), "--checkpoint", str(checkpoint),
-         "--epochs", "1", "--hidden-dim", "8", "--batch-size", "4", flag, value],
-    )
-    assert code == 4
-    assert err.startswith("error:") and field in err
-    assert "Traceback" not in err
-    assert out == ""
-    assert list(tmp_path.iterdir()) == []
+    # the options are checked before any file is read, so a missing lexicon
+    # does not hide them
+    for lexicon in (workspace / "lexicon.tsv", tmp_path / "absent.tsv"):
+        code, out, err = run(
+            capsys,
+            ["train", "--lexicon", str(lexicon), "--checkpoint", str(checkpoint),
+             "--epochs", "1", "--hidden-dim", "8", "--batch-size", "4", flag, value],
+        )
+        assert code == 4
+        assert err.startswith("error:") and field in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def _cli_subprocess(argv, **kwargs):
@@ -300,6 +303,28 @@ def test_normalize_checkpoint_dimension_not_an_integer_is_data_error(
     assert code == 4
     assert out == ""
     assert "error:" in err and "malformed header" in err and "Traceback" not in err
+
+
+def test_normalize_checkpoint_with_a_wrong_tensor_shape_is_data_error(workspace, capsys, tmp_path):
+    # the manifest keeps its names and its element count; out.w's two
+    # dimensions are swapped
+    data = (workspace / "model.ckpt").read_bytes()
+    offset = len(CHECKPOINT_MAGIC) + 1
+    (header_len,) = struct.unpack_from("<Q", data, offset)
+    header = json.loads(data[offset + 8 : offset + 8 + header_len])
+    out_w = dict(header["tensors"])["out.w"]
+    assert out_w[0] != out_w[1]
+    out_w.reverse()
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[:offset] + struct.pack("<Q", len(blob)) + blob + data[offset + 8 + header_len :])
+    code, out, err = run(
+        capsys,
+        ["normalize", "kala", "--dict", str(workspace / "dict.tsv"), "--checkpoint", str(bad)],
+    )
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {bad}: tensor manifest does not match the declared dimensions\n"
 
 
 @pytest.mark.parametrize("max_len", [MAX_LEN_LIMIT + 1, 10**12])
@@ -471,6 +496,21 @@ def test_evaluate_single_setup_structured(workspace, capsys):
     assert records[0]["setup"] == "setup_2"
     assert records[0]["total"] == 3
     assert 0.0 <= records[0]["accuracy"] <= 1.0
+
+
+def test_evaluate_text_names_each_failure(workspace, capsys, tmp_path):
+    # the model's source alphabet is a-z, so it cannot encode "kalé"
+    testset = tmp_path / "testset.tsv"
+    testset.write_text("kala\tkala\nkalé\tkala\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys,
+        ["evaluate", "--testset", str(testset), "--dict", str(workspace / "dict.tsv"),
+         "--checkpoint", str(workspace / "model.ckpt"), "--setup", "4"],
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2].startswith("setup_4: oov errors ") and lines[-2].endswith(", failures 1")
+    assert lines[-1] == "setup_4: failure [1] kalé: character 'é' is not in the source alphabet"
 
 
 def test_evaluate_all_without_checkpoint_is_usage_error(workspace, capsys):

@@ -354,3 +354,7 @@ def test_generate_benchmark_validates_sizes_and_space():
     assert len(full.dictionary) == 32
     with pytest.raises(ValueError, match="word space"):
         generate_benchmark(seed=1, dict_size=33, train_size=1, test_size=1, consonants="b")
+    # one-syllable words hold 288 distinct ones, and the pre-check lets 33
+    # through, but at coda probability 1e-6 the 33,000 draws find fewer
+    with pytest.raises(ValueError, match="^word space out of reach for the requested dictionary size "):
+        generate_benchmark(seed=0, dict_size=33, min_syllables=1, max_syllables=1, coda_probability=1e-6)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,19 +194,6 @@ def test_best_match_rejects_empty_dictionary_and_bad_mode():
             match("abc", TransliterationDictionary(entries=()))
         with pytest.raises(ValueError):
             match("abc", make_dict(["abc"]), mode="fuzzy")
-
-
-def test_pruned_scan_equals_full_scan():
-    rng = random.Random(4242)
-    alphabet = "aobvklst"
-    standards = [
-        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9))) for _ in range(40)
-    ]
-    d = make_dict(standards)
-    for trial in range(300):
-        query = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
-        mode = MODIFIED if trial % 2 else STANDARD
-        assert best_matches([query], d, mode)[0] == best_match(query, d, mode=mode)
 
 
 def random_word(rng, alphabet, lo, hi):
@@ -400,3 +388,6 @@ def test_load_equivalence_classes(tmp_path):
     bad.write_text("a\n", encoding="utf-8")
     with pytest.raises(EquivalenceClassError):
         load_equivalence_classes(bad)
+    # the shipped class file is the default one
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "eq_classes.txt"
+    assert load_equivalence_classes(shipped) == DEFAULT_EQUIVALENCE_CLASSES

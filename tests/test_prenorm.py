@@ -1,4 +1,6 @@
+import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from phonorm.prenorm import (
     trim_elongation,
     validate_digit_table,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_elongation_golden():
@@ -90,6 +94,11 @@ def test_load_digit_table(tmp_path):
     lines = [f"{digit}\t{phone}" for digit, phone in sorted(DEFAULT_DIGIT_PHONES.items())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert load_digit_table(path) == DEFAULT_DIGIT_PHONES
+    # blank lines are skipped
+    path.write_text("\n".join(lines[:5] + ["", "  "] + lines[5:]) + "\n\n", encoding="utf-8")
+    assert load_digit_table(path) == DEFAULT_DIGIT_PHONES
+    # the shipped table is the default one
+    assert load_digit_table(CONFIGS / "digit_phones.txt") == DEFAULT_DIGIT_PHONES
 
 
 def test_load_digit_table_rejects_duplicates(tmp_path):
@@ -98,6 +107,11 @@ def test_load_digit_table_rejects_duplicates(tmp_path):
     path.write_text(body + "7\tagain\n", encoding="utf-8")
     with pytest.raises(DigitTableError):
         load_digit_table(path)
+    # a line that is not digit<TAB>phone is refused with its file and line
+    for bad in ("7 again", "7\tagain\textra"):
+        path.write_text(body[:-1] + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(DigitTableError, match=rf"^{re.escape(str(path))}:11: expected"):
+            load_digit_table(path)
 
 
 def test_idempotence_random():

@@ -285,6 +285,8 @@ def test_prepare_batch_layout():
     assert batch.mask[0].tolist() == [True, True, False, False, False]
     assert batch.dec_tgt[0, 0] == target.index_of("b")
     assert batch.dec_tgt[0, 1] == target.end_index
+    with pytest.raises(ValueError, match="empty batch"):
+        prepare_batch([], source, target, max_len=4)
 
 
 def test_rows_trims_decoder_columns_to_longest_selected_target():
@@ -319,14 +321,14 @@ def test_trimmed_batch_gives_full_width_loss_and_gradients(pairs):
     longest = max(len(t) for _, t in pairs) + 1
     assert trimmed.dec_in.shape[1] == longest
 
-    a = loss_and_gradients(params, trimmed)
-    b = loss_and_gradients(params, full)
-    assert vars(a.metrics) == vars(b.metrics)
-    assert vars(batch_loss(params, trimmed)) == vars(b.metrics)
-    assert a.grads.keys() == b.grads.keys()
-    for name, grad in b.grads.items():
+    a_grads, a_metrics = loss_and_gradients(params, trimmed)
+    b_grads, b_metrics = loss_and_gradients(params, full)
+    assert vars(a_metrics) == vars(b_metrics)
+    assert vars(batch_loss(params, trimmed)) == vars(b_metrics)
+    assert a_grads.keys() == b_grads.keys()
+    for name, grad in b_grads.items():
         scale = np.abs(grad).max()
-        assert np.abs(a.grads[name] - grad).max() <= 1e-12 * scale, name
+        assert np.abs(a_grads[name] - grad).max() <= 1e-12 * scale, name
 
 
 def test_batch_loss_matches_stepwise_decoding():
@@ -354,7 +356,7 @@ def test_gradients_match_finite_differences_spot_check():
     params = tiny_params(seed=11, hidden_dim=3, max_len=3)
     pairs = [("ab", "ba"), ("a", "b")]
     batch = prepare_batch(pairs, params.source_alphabet, params.target_alphabet, params.max_len)
-    grads = loss_and_gradients(params, batch).grads
+    grads, _ = loss_and_gradients(params, batch)
 
     rng = np.random.default_rng(0)
     step = 1e-5
@@ -512,22 +514,58 @@ def test_lstm_step_matches_the_reference_expressions_bit_for_bit(rows, dense):
     assert (z_all >= 0).any() and ((z_all < 0) & (z_all > -745)).any() and (z_all < -745).any()
 
 
+# one unusable value per TrainingConfig field, in field order, and its message
+UNUSABLE_CONFIG = [
+    ("hidden_dim", 0, "hidden_dim must be positive (got 0)"),
+    ("num_layers", -1, "num_layers must be positive (got -1)"),
+    ("batch_size", 0, "batch_size must be positive (got 0)"),
+    ("epochs", 0, "epochs must be positive (got 0)"),
+    ("learning_rate", float("nan"), "learning_rate must be a positive finite number"),
+    ("validation_fraction", 1.0, "validation_fraction must be in [0, 1)"),
+    ("rng_seed", -1, "rng_seed must be non-negative (got -1)"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(UNUSABLE_CONFIG)))
+def test_training_config_rejects_an_unusable_field_when_built(index):
+    field, value, message = UNUSABLE_CONFIG[index]
+    with pytest.raises(ValueError) as exc:
+        TrainingConfig(**{field: value})
+    assert str(exc.value) == message
+    # fields are checked in order: with every later field unusable too, this one is named
+    with pytest.raises(ValueError) as exc:
+        TrainingConfig(**{name: bad for name, bad, _ in UNUSABLE_CONFIG[index:]})
+    assert str(exc.value) == message
+
+
 def test_train_rejects_empty_lexicon():
     with pytest.raises(ValueError):
         train(ParallelLexicon(entries=()), TrainingConfig(epochs=1))
 
 
-@pytest.mark.parametrize("pair", [(" ", "kaal"), ("\t ", "kaal"), ("kaal", "  ")])
-def test_train_rejects_a_blank_pair_before_drawing_weights(monkeypatch, pair):
-    # the pipeline never serves a blank form; a blank source would also put
-    # " " in the source alphabet, which then no longer snaps to a-z
+@pytest.fixture()
+def no_weight_draws(monkeypatch):
+    """Make drawing a model's weights fail: the data was checked too late."""
     def no_draw(*args, **kwargs):
-        raise AssertionError("weights drawn for a lexicon with a blank pair")
+        raise AssertionError("weights drawn for training data that cannot train")
 
     monkeypatch.setattr("phonorm.seq2seq.init_model_params", no_draw)
+
+
+@pytest.mark.parametrize("pair", [(" ", "kaal"), ("\t ", "kaal"), ("kaal", "  ")])
+def test_train_rejects_a_blank_pair_before_drawing_weights(no_weight_draws, pair):
+    # the pipeline never serves a blank form; a blank source would also put
+    # " " in the source alphabet, which then no longer snaps to a-z
     lexicon = ParallelLexicon(entries=(("kaal", "kaal"), pair, ("chala", "chala")))
     with pytest.raises(ValueError, match=r"^training pair 2 \(.*\) is blank after pre-normalization$"):
         train(lexicon, TrainingConfig(epochs=2, hidden_dim=8))
+
+
+def test_train_rejects_a_validation_split_without_training_rows_before_drawing_weights(no_weight_draws):
+    # one pair at 0.6 rounds to one validation row and none to train on
+    lexicon = ParallelLexicon(entries=(("kaal", "kaal"),))
+    with pytest.raises(ValueError, match="^validation split leaves no training data$"):
+        train(lexicon, TrainingConfig(epochs=2, hidden_dim=8, validation_fraction=0.6))
 
 
 def test_diverging_train_raises_naming_the_tensor_and_the_epoch():
@@ -630,6 +668,11 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
 
+    # the magic line and too few bytes for the header length
+    path.write_bytes(CHECKPOINT_MAGIC + b"\n" + data[len(CHECKPOINT_MAGIC) + 1 :][:7])
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_checkpoint(path)
+
 
 def _rewrite_dimensions(path, params, dims):
     """Save params to path with dims in its header, and everything but the
@@ -652,6 +695,22 @@ def _rewrite_dimensions(path, params, dims):
     path.write_bytes(
         CHECKPOINT_MAGIC + b"\n" + struct.pack("<Q", len(blob)) + blob + bytes(8 * count)
     )
+
+
+@pytest.mark.parametrize("name", ["enc0.w_x", "dec1.b", "out.w"])
+def test_checkpoint_rejects_a_manifest_with_one_wrong_shape(tmp_path, name):
+    # every name in place and every shape an integer list; one is one too long
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_params())
+    data = path.read_bytes()
+    offset = len(CHECKPOINT_MAGIC) + 1
+    (header_len,) = struct.unpack_from("<Q", data, offset)
+    header = json.loads(data[offset + 8 : offset + 8 + header_len])
+    dict(header["tensors"])[name][0] += 1
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    path.write_bytes(data[:offset] + struct.pack("<Q", len(blob)) + blob + data[offset + 8 + header_len :])
+    with pytest.raises(CheckpointError, match="tensor manifest does not match the declared dimensions$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,9 @@ Each line is `<name> <sha256>`, covering:
   inputs, concatenated, so each non-exact word is a kernel pass of its own;
 * cli.errors: the exit code, stdout and stderr of the same CLI for each of
   a fixed list of failing calls (usage errors, missing and malformed input
-  files, a --fail-fast stop, bad training and generate options), with the
+  files, a --fail-fast stop, bad training and generate options, a bad
+  training option given with a missing lexicon, and a generate size whose
+  draws run out before filling the dictionary), with the
   temporary directory's path replaced by a fixed token, so the exit codes
   and error messages README's table describes are covered too. argparse
   words its messages differently from one Python version to the next, so
@@ -238,6 +240,10 @@ def main() -> None:
             ["normalize", "kala", "kalé", "bodo", "--fail-fast", "--setup", "4", *common],
             ["train", "--lexicon", str(big / "lexicon.tsv"), "--checkpoint", str(tmp / "nan.ckpt"), "--lr", "nan"],
             ["generate", "--out-dir", str(tmp / "huge"), "--dict-size", "100000"],
+            # a bad option with a missing lexicon, and a size the draws do not fill
+            ["train", "--lexicon", absent, "--checkpoint", str(tmp / "m.ckpt"), "--lr", "nan"],
+            ["generate", "--out-dir", str(tmp / "cap"), "--dict-size", "33", "--min-syllables", "1",
+             "--max-syllables", "1", "--coda-probability", "1e-6", "--seed", "0"],
         ]
         emit("cli.errors", b"".join(cli_outcome(argv) for argv in failing_calls).replace(
             str(tmp).encode("utf-8"), b"<tmp>"))
