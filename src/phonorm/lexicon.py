@@ -106,6 +106,16 @@ class TransliterationDictionary(_PairTable):
         return {}
 
     @cached_property
+    def result_memos(self) -> dict:
+        """Results of the setups without the model, one memo of word ->
+        result per (classes, mode, digit table).
+
+        phonorm.pipeline fills and bounds them; the entries are frozen, so a
+        memo never goes stale.
+        """
+        return {}
+
+    @cached_property
     def _natives_by_standard(self) -> dict[str, tuple[str, ...]]:
         by_standard: dict[str, list[str]] = {}
         for native, std in self.entries:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 
 from .charcodec import EncodingError, encode
 from .lexicon import TransliterationDictionary
@@ -54,6 +55,13 @@ class SetupId(enum.Enum):
             return cls((uses_model, mode))
         except ValueError:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}") from None
+
+
+# words that each memo of model-free results keeps, the oldest evicted
+# first. An entry costs about 160 bytes (a 96-byte result, about 25 of dict
+# slot, and its pre-normalized string where that is a string of its own),
+# plus about 60 for the word once the caller drops it: under 1 MB a memo.
+MEMO_WORDS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +143,17 @@ def normalize_setups(
     call per mode, which scores all queries that are not a standard
     together). A setup's query is its first degree, or the form itself
     without the model or when the model decodes to an empty string.
-    Identical words share one result object within a setup. Nothing is kept
-    across calls.
+    Identical words share one result object within a setup.
+
+    Across calls, the dictionary keeps the results of the setups that do not
+    use the model (setup_1 and setup_2): one memo per (eq, mode, digit table
+    contents), of at most MEMO_WORDS words, the oldest evicted first, about
+    160 bytes a word plus the word itself. A word that a setup's memo holds
+    skips every stage and returns the same result object as before; only
+    the words that some setup of the call does not hold run the stages.
+    Results of the model setups are never kept, since an in-place update of
+    a ModelParams tensor is an update of the model; nor are BatchErrors,
+    which carry their position.
 
     A word's own fault becomes a BatchError at each of its positions: blank
     after pre-normalization in every setup, not encodable by the model in the
@@ -148,8 +165,16 @@ def normalize_setups(
     needs_model = [setup.label for setup in setups if setup.uses_model]
     if needs_model and model is None:
         raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
+    digits = None if digit_table is None else frozenset(digit_table.items())
+    memos = [None if setup.uses_model else dictionary.result_memos.setdefault((eq, setup.mode, digits), {})
+             for setup in setups]
     words = list(words)
-    forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)}
+    distinct = dict.fromkeys(words)
+    # per setup, the results its memo holds for this call's words, all taken
+    # before any insertion below can evict them
+    knowns = [{} if memo is None else {word: memo[word] for word in distinct if word in memo} for memo in memos]
+    forms = {word: prenormalize(word, digit_table) for word in distinct
+             if not all(word in known for known in knowns)}
     # form -> error message, in the setups where the form fails
     failures = {form: "empty word: nothing to normalize" for form in forms.values() if not form.strip()}
     plain = {form: form for form in forms.values() if form not in failures}
@@ -160,22 +185,25 @@ def normalize_setups(
             failures[form] = str(exc)
     encodable = [form for form in plain if form not in failures]
     decoded = dict(zip(encodable, infer_batch(model, encodable))) if needs_model else {}
-    # per setup, form -> first degree for each form the setup normalizes
-    firsts = [decoded if setup.uses_model else plain for setup in setups]
+    # per setup, form -> first degree for each form of a word it does not know
+    firsts = []
+    for setup, known in zip(setups, knowns):
+        source = decoded if setup.uses_model else plain
+        firsts.append({form: source[form] for word, form in forms.items() if word not in known and form in source})
     queries: dict[str, dict[str, None]] = {}  # mode -> distinct queries
     for setup, first_degrees in zip(setups, firsts):
         queries.setdefault(setup.mode, {}).update((f or form, None) for form, f in first_degrees.items())
     matches = {mode: dict(zip(qs, best_matches(qs, dictionary, mode, eq))) for mode, qs in queries.items()}
     outcomes = []
-    for setup, first_degrees in zip(setups, firsts):
+    for setup, first_degrees, results, memo in zip(setups, firsts, knowns, memos):
         mode, label = setup.mode, setup.label
-        results: dict[str, NormalizationResult] = {}
+        added: dict[str, NormalizationResult] = {}
         for word, form in forms.items():
-            if form in first_degrees:
+            if word not in results and form in first_degrees:
                 first = first_degrees[form]
                 match = matches[mode][first or form]
                 final = match.matched_standard
-                results[word] = NormalizationResult(
+                added[word] = NormalizationResult(
                     input=word,
                     prenormalized=final if form == final else form,
                     first_degree=final if first == final else first,
@@ -185,6 +213,11 @@ def normalize_setups(
                     mode=mode,
                     setup=label,
                 )
+        results.update(added)
+        if memo is not None:
+            memo.update(added)
+            for word in list(islice(memo, max(0, len(memo) - MEMO_WORDS))):
+                del memo[word]  # the oldest
         outcomes.append([
             results[word] if word in results else BatchError(index, word, failures[forms[word]])
             for index, word in enumerate(words)

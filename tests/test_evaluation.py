@@ -20,7 +20,7 @@ from phonorm.evaluation import (
     random_word,
     report_to_dict,
 )
-from phonorm.lexicon import TestSet, TransliterationDictionary
+from phonorm.lexicon import TestSet, TransliterationDictionary, load_dictionary, save_dictionary
 from phonorm.matcher import DEFAULT_EQUIVALENCE_CLASSES, canonicalize
 from phonorm.prenorm import prenormalize
 from phonorm.seq2seq import infer_batch
@@ -200,6 +200,17 @@ def test_evaluate_setups_without_model_setups_never_decodes(tiny_model, monkeypa
     assert len(match_calls) == 2
     assert reports == evaluate_setups(MIXED, None, d, setups)
     assert [[f.index for f in report.failures] for report in reports] == [[2], [2]]
+
+
+def test_evaluate_setups_on_a_warm_dictionary_equals_a_fresh_one(tiny_model, tmp_path):
+    # the model-free setups answer the second call from the results the
+    # first kept on the dictionary, for some words and not others
+    path = tmp_path / "dictionary.tsv"
+    save_dictionary(make_dict(MIXED_DICT), path)
+    warm = load_dictionary(path)
+    evaluate_setups(TestSet(entries=MIXED.entries[::2]), tiny_model, warm, list(SetupId))
+    reports = evaluate_setups(MIXED, tiny_model, warm, list(SetupId))
+    assert reports == evaluate_setups(MIXED, tiny_model, load_dictionary(path), list(SetupId))
 
 
 # ---------------------------------------------------------------------------

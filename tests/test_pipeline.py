@@ -8,9 +8,16 @@ import pytest
 
 import phonorm.pipeline
 from phonorm.lexicon import TransliterationDictionary
-from phonorm.matcher import MODIFIED, STANDARD
-from phonorm.pipeline import BatchError, NormalizationResult, SetupId, normalize, normalize_batch
-from phonorm.prenorm import prenormalize
+from phonorm.matcher import MODIFIED, NO_EQUIVALENCE, STANDARD, EquivalenceClasses, best_match
+from phonorm.pipeline import (
+    BatchError,
+    NormalizationResult,
+    SetupId,
+    normalize,
+    normalize_batch,
+    normalize_setups,
+)
+from phonorm.prenorm import DEFAULT_DIGIT_PHONES, prenormalize
 from phonorm.seq2seq import infer
 
 
@@ -239,3 +246,89 @@ def test_normalize_batch_shares_one_result_between_identical_words(tiny_model):
     # errors stay per position
     errors = [r for r in batch if isinstance(r, BatchError)]
     assert [(e.index, e.word) for e in errors] == [(3, ""), (5, "kalé"), (9, "kalé"), (10, ""), (14, "KALÉ")]
+
+
+# ---------------------------------------------------------------------------
+# results kept across calls
+
+
+@pytest.mark.parametrize("mode", [STANDARD, MODIFIED])
+def test_memo_eviction_within_a_call_keeps_every_result(monkeypatch, mode):
+    # with room for two words, a call evicts words it already counted as
+    # known while it inserts its new ones
+    monkeypatch.setattr(phonorm.pipeline, "MEMO_WORDS", 2)
+    d = make_dict(REPEATS_DICT)
+    words = ["kaala", "bodo", "mibu", "kaala", "tomo", "kilo", "bodo", "mibu"]  # five distinct
+    for other in (["tumi"], ["bodo", "kalo", "bidu"], ["mibu", "Kaala"]):
+        for batch in (words, other):
+            got = normalize_batch(batch, d, mode=mode)
+            assert got == normalize_batch(batch, make_dict(REPEATS_DICT), mode=mode)
+            for word, result in zip(batch, got):
+                oracle = best_match(prenormalize(word), d, mode)
+                assert (result.final, result.distance) == (oracle.matched_standard, oracle.distance)
+            assert all(len(memo) <= 2 for memo in d.result_memos.values())
+
+
+def test_memo_keys_on_the_digit_table_contents():
+    d = make_dict(["kadui", "kaek"])
+    table = dict(DEFAULT_DIGIT_PHONES)
+    assert normalize("ka2", d, digit_table=table).final == "kadui"
+    table["2"] = "ek"  # the same dict object, other contents
+    assert normalize("ka2", d, digit_table=table).final == "kaek"
+    assert normalize("ka2", d).final == "kadui"
+
+
+def test_memo_keys_on_the_mode():
+    # both modes match on one index under NO_EQUIVALENCE, but report their own mode
+    d = make_dict(["kala", "kolo"])
+    modified = normalize("kolo", d, eq=NO_EQUIVALENCE, mode=MODIFIED)
+    standard = normalize("kolo", d, eq=NO_EQUIVALENCE, mode=STANDARD)
+    assert (modified.mode, modified.setup) == (MODIFIED, "setup_2")
+    assert (standard.mode, standard.setup) == (STANDARD, "setup_1")
+
+
+def test_memo_keys_on_the_equivalence_classes():
+    d = make_dict(["bata", "pata"])
+    assert normalize("vata", d).final == "bata"
+    pv = normalize("vata", d, eq=EquivalenceClasses.from_strings(["pv"]))
+    assert (pv.final, pv.distance) == ("pata", 0)
+
+
+def test_a_word_known_without_the_model_is_still_decoded_with_it(tiny_model, monkeypatch):
+    d = make_dict(REPEATS_DICT)
+    (known,) = normalize_batch(["kaala"], d, mode=STANDARD)
+    decoder_calls = []
+    infer_batch = phonorm.pipeline.infer_batch
+
+    def counting_infer_batch(model, words):
+        decoder_calls.append(list(words))
+        return infer_batch(model, words)
+
+    monkeypatch.setattr(phonorm.pipeline, "infer_batch", counting_infer_batch)
+    [setup_1], [setup_4] = normalize_setups(["kaala"], d, tiny_model, [SetupId.SETUP_1, SetupId.SETUP_4])
+    assert decoder_calls == [["kaala"]]
+    assert setup_1 is known
+    assert setup_4 == normalize("kaala", make_dict(REPEATS_DICT), model=tiny_model, mode=MODIFIED)
+
+
+def test_model_setups_see_an_in_place_tensor_update(zero_model):
+    d = make_dict(["ab", "aaaa"])
+    before = normalize("ab", d, model=zero_model)
+    assert before.first_degree == ""
+    zero_model.b_out[zero_model.target_alphabet.index_of("a")] = 1.0
+    after = normalize("ab", d, model=zero_model)
+    assert after.first_degree == infer(zero_model, "ab") != ""
+
+
+@pytest.mark.parametrize("setup", list(SetupId))
+def test_only_setups_without_the_model_share_a_result_across_calls(tiny_model, setup):
+    d = make_dict(REPEATS_DICT)
+    model = tiny_model if setup.uses_model else None
+    first = normalize_batch(REPEATS, d, model=model, mode=setup.mode)
+    again = normalize_batch(REPEATS, d, model=model, mode=setup.mode)
+    assert again == first
+    for one, other in zip(first, again):
+        if isinstance(one, NormalizationResult):
+            assert (one is other) == (not setup.uses_model)
+        else:
+            assert one is not other  # a BatchError is worked out again
