@@ -36,17 +36,10 @@ class SetupId(enum.Enum):
     SETUP_3 = (True, STANDARD)
     SETUP_4 = (True, MODIFIED)
 
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
-    @property
-    def uses_model(self) -> bool:
-        return self.value[0]
-
-    @property
-    def mode(self) -> str:
-        return self.value[1]
+    def __init__(self, uses_model: bool, mode: str):
+        self.uses_model = uses_model
+        self.mode = mode
+        self.label = self.name.lower()
 
     @classmethod
     def of(cls, uses_model: bool, mode: str) -> "SetupId":
@@ -150,31 +143,44 @@ def normalize_setups(
     contents), of at most MEMO_WORDS words, the oldest evicted first, about
     160 bytes a word plus the word itself. A word that a setup's memo holds
     skips every stage and returns the same result object as before; only
-    the words that some setup of the call does not hold run the stages.
+    the words that some setup of the call does not hold run the stages, and
+    a call whose words are all known runs no stage at all, only lookups.
     Results of the model setups are never kept, since an in-place update of
     a ModelParams tensor is an update of the model; nor are BatchErrors,
     which carry their position.
 
     A word's own fault becomes a BatchError at each of its positions: blank
     after pre-normalization in every setup, not encodable by the model in the
-    setups that use it. A fault of the call itself raises ValueError: a setup
-    that needs the model when none is given, or an empty dictionary (from
-    the best_matches call of each mode).
+    setups that use it. A fault of the call itself raises ValueError before
+    any lookup, on every call: a setup that needs the model when none is
+    given, or an empty dictionary.
     """
     setups = list(setups)
     needs_model = [setup.label for setup in setups if setup.uses_model]
     if needs_model and model is None:
         raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
+    if len(dictionary) == 0:
+        raise ValueError("cannot match against an empty dictionary")
     digits = None if digit_table is None else frozenset(digit_table.items())
     memos = [None if setup.uses_model else dictionary.result_memos.setdefault((eq, setup.mode, digits), {})
              for setup in setups]
     words = list(words)
     distinct = dict.fromkeys(words)
     # per setup, the results its memo holds for this call's words, all taken
-    # before any insertion below can evict them
+    # before any insertion can evict them
     knowns = [{} if memo is None else {word: memo[word] for word in distinct if word in memo} for memo in memos]
-    forms = {word: prenormalize(word, digit_table) for word in distinct
-             if not all(word in known for known in knowns)}
+    new = [word for word in distinct if not all(word in known for known in knowns)]
+    failures = _normalize_new(new, dictionary, model, setups, knowns, memos, eq, digit_table) if new else {}
+    return [[known[word] if word in known else BatchError(index, word, failures[word])
+             for index, word in enumerate(words)] for known in knowns]
+
+
+def _normalize_new(words, dictionary, model, setups, knowns, memos, eq, digit_table) -> dict[str, str]:
+    """Run every stage for words, the distinct words that some setup does not
+    know: add each setup's new results to its known results and its memo,
+    and return word -> message for each word that fails in some setup."""
+    needs_model = any(setup.uses_model for setup in setups)
+    forms = {word: prenormalize(word, digit_table) for word in words}
     # form -> error message, in the setups where the form fails
     failures = {form: "empty word: nothing to normalize" for form in forms.values() if not form.strip()}
     plain = {form: form for form in forms.values() if form not in failures}
@@ -194,14 +200,12 @@ def normalize_setups(
     for setup, first_degrees in zip(setups, firsts):
         queries.setdefault(setup.mode, {}).update((f or form, None) for form, f in first_degrees.items())
     matches = {mode: dict(zip(qs, best_matches(qs, dictionary, mode, eq))) for mode, qs in queries.items()}
-    outcomes = []
-    for setup, first_degrees, results, memo in zip(setups, firsts, knowns, memos):
-        mode, label = setup.mode, setup.label
+    for setup, first_degrees, known, memo in zip(setups, firsts, knowns, memos):
         added: dict[str, NormalizationResult] = {}
         for word, form in forms.items():
-            if word not in results and form in first_degrees:
+            if word not in known and form in first_degrees:
                 first = first_degrees[form]
-                match = matches[mode][first or form]
+                match = matches[setup.mode][first or form]
                 final = match.matched_standard
                 added[word] = NormalizationResult(
                     input=word,
@@ -210,16 +214,12 @@ def normalize_setups(
                     final=final,
                     distance=match.distance,
                     back_transliterations=dictionary.natives(final),
-                    mode=mode,
-                    setup=label,
+                    mode=setup.mode,
+                    setup=setup.label,
                 )
-        results.update(added)
+        known.update(added)
         if memo is not None:
             memo.update(added)
             for word in list(islice(memo, max(0, len(memo) - MEMO_WORDS))):
                 del memo[word]  # the oldest
-        outcomes.append([
-            results[word] if word in results else BatchError(index, word, failures[forms[word]])
-            for index, word in enumerate(words)
-        ])
-    return outcomes
+    return {word: failures[form] for word, form in forms.items() if form in failures}

@@ -161,6 +161,9 @@ def test_normalize_batch_raises_for_an_unknown_mode(words):
 def test_normalize_batch_raises_for_an_empty_dictionary():
     with pytest.raises(ValueError, match="empty dictionary"):
         normalize_batch(["kala", "bodo"], TransliterationDictionary(entries=()))
+    # a call that runs no stage still checks the dictionary
+    with pytest.raises(ValueError, match="empty dictionary"):
+        normalize_batch([], TransliterationDictionary(entries=()))
 
 
 # repeats, case and elongation variants that pre-normalize alike ("kaala",
@@ -332,3 +335,50 @@ def test_only_setups_without_the_model_share_a_result_across_calls(tiny_model, s
             assert (one is other) == (not setup.uses_model)
         else:
             assert one is not other  # a BatchError is worked out again
+
+
+def _fail_on_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran for words every setup knows")
+
+    return fail
+
+
+def test_words_every_setup_knows_run_no_stage(monkeypatch):
+    d = make_dict(REPEATS_DICT)
+    words = ["kaala", "bodo", "kaala", "mibu", "bodo"]
+    [one] = normalize_batch(["kaala"], d)
+    warm = normalize_batch(words, d)
+    [setup_1, setup_2] = normalize_setups(words, d, None, [SetupId.SETUP_1, SetupId.SETUP_2])
+    for name in ("prenormalize", "best_matches", "infer_batch"):
+        monkeypatch.setattr(phonorm.pipeline, name, _fail_on_call(name))
+    assert normalize("kaala", d) is one
+    for got, before in zip(normalize_batch(words, d), warm):
+        assert got is before
+    again = normalize_setups(words, d, None, [SetupId.SETUP_1, SetupId.SETUP_2])
+    for got_setup, before_setup in zip(again, [setup_1, setup_2]):
+        for got, before in zip(got_setup, before_setup):
+            assert got is before
+
+
+def test_a_mixed_call_matches_only_the_words_it_does_not_know(monkeypatch):
+    d = make_dict(REPEATS_DICT)
+    normalize_batch(["kala", "bodo"], d)
+    queries = []
+    best_matches = phonorm.pipeline.best_matches
+
+    def spy(qs, *args):
+        queries.append(list(qs))
+        return best_matches(qs, *args)
+
+    monkeypatch.setattr(phonorm.pipeline, "best_matches", spy)
+    got = normalize_batch(["bodo", "mibo", "kala", "kilo", "mibo"], d)
+    assert queries == [["mibo", "kilo"]]
+    assert got == normalize_batch(["bodo", "mibo", "kala", "kilo", "mibo"], make_dict(REPEATS_DICT))
+
+
+def test_a_missing_model_raises_even_when_the_memo_knows_every_word():
+    d = make_dict(REPEATS_DICT)
+    normalize_batch(["kala", "bodo"], d, mode=STANDARD)
+    with pytest.raises(ValueError, match="setup_3 applies the first-degree model but none was given"):
+        normalize_setups(["kala", "bodo"], d, None, [SetupId.SETUP_1, SetupId.SETUP_3])

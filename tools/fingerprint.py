@@ -45,6 +45,10 @@ Each line is `<name> <sha256>`, covering:
   under setups 1 and 2 on those test inputs, from a second pass on the same
   loaded dictionary object, so the results the dictionary keeps across
   calls are checked against an older tree's first pass;
+* normalize.dict5k.single.warm: the reprs of `normalize`'s results under
+  setups 1 and 2, one call per word for the first 200 of those test
+  inputs, from the second of two such rounds on one loaded dictionary, so
+  a single word answered from the kept results is checked too;
 * cli.errors: the exit code, stdout and stderr of the same CLI for each of
   a fixed list of failing calls (usage errors, missing and malformed input
   files, a --fail-fast stop, bad training and generate options, a bad
@@ -60,10 +64,10 @@ results do not depend on how many cores the machine has, and argparse's
 line width to 80 columns, so its usage text does not depend on the
 terminal. The script imports only long-standing library names
 (generate_benchmark, train, infer, the checkpoint functions, prenormalize,
-load_dictionary, normalize_batch and cli.main; the dict5k, custom_tables
-and errors lines use cli.main alone, the long line cli.main and
-prenormalize, the warm line load_dictionary and normalize_batch), so it
-also runs against older trees.
+load_dictionary, normalize, normalize_batch and cli.main; the dict5k,
+custom_tables and errors lines use cli.main alone, the long line cli.main
+and prenormalize, the warm lines load_dictionary with normalize_batch or
+normalize), so it also runs against older trees.
 """
 
 import os
@@ -87,7 +91,7 @@ sys.path.append(str(ROOT / "src"))
 from phonorm import cli  # noqa: E402
 from phonorm.evaluation import generate_benchmark  # noqa: E402
 from phonorm.lexicon import load_dictionary, save_dictionary, save_test_set  # noqa: E402
-from phonorm.pipeline import normalize_batch  # noqa: E402
+from phonorm.pipeline import normalize, normalize_batch  # noqa: E402
 from phonorm.prenorm import prenormalize  # noqa: E402
 from phonorm.seq2seq import TrainingConfig, infer, load_checkpoint, save_checkpoint, train  # noqa: E402
 
@@ -230,6 +234,10 @@ def main() -> None:
         emit("normalize_batch.dict5k.warm", "\n".join(
             repr(result) for mode in ("standard", "modified")
             for result in normalize_batch(big_words, big_dictionary, mode=mode)).encode("utf-8"))
+        single_dictionary = load_dictionary(big / "dictionary.tsv")
+        rounds = [[repr(normalize(word, single_dictionary, mode=mode))
+                   for mode in ("standard", "modified") for word in big_words[:200]] for _ in range(2)]
+        emit("normalize.dict5k.single.warm", "\n".join(rounds[1]).encode("utf-8"))
 
         one_column, one_char_eq, short_digits = tmp / "one_column.tsv", tmp / "one_char_eq.txt", tmp / "short.tsv"
         one_column.write_text(dict_path.read_text(encoding="utf-8") + "kala\n", encoding="utf-8")
