@@ -29,6 +29,7 @@ from .lexicon import (
     load_dictionary,
     load_parallel_lexicon,
     load_test_set,
+    read_input,
     save_dictionary,
     save_parallel_lexicon,
     save_test_set,
@@ -87,8 +88,7 @@ def _load_matching(args, parser):
 def _read_words(args) -> list[str]:
     words = list(args.words)
     if args.input is not None:
-        text = Path(args.input).read_text(encoding="utf-8-sig")
-        words.extend(line for line in text.splitlines() if line.strip())
+        words.extend(line for line in read_input(args.input).splitlines() if line.strip())
     return words
 
 
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

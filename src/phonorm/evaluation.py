@@ -111,8 +111,6 @@ def evaluate_setups(
     run; they are listed separately from mismatch errors and excluded from the
     OOV analysis.
     """
-    if len(testset) == 0:
-        raise ValueError("test set is empty")
     setups = list(setups)
     words = [word for word, _ in testset.entries]
     reports = []

@@ -27,8 +27,19 @@ class LexiconFormatError(ValueError):
     """Raised for files that do not follow the two-column TSV contract."""
 
 
+def read_input(path) -> str:
+    """The text of an input file: UTF-8, with a leading byte-order mark
+    dropped. A byte that is not UTF-8 raises ValueError naming the file."""
+    try:
+        # utf-8, not utf-8-sig, so that the offset counts from the first byte
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
+
+
 def _parse_pairs(path, what: str) -> tuple[tuple[str, str], ...]:
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_input(path)
     if text.endswith("\n"):
         text = text[:-1]
     if not text:
@@ -55,7 +66,7 @@ def _write_pairs(entries, path) -> None:
 
 @dataclass(frozen=True)
 class _PairTable:
-    """Ordered two-column table; every field must be non-empty.
+    """Ordered two-column table: at least one entry, no field empty.
 
     The three lexicon shapes below differ only in name and in what they
     derive from the entries.
@@ -65,6 +76,8 @@ class _PairTable:
     kind: ClassVar[str]  # names the table in error messages
 
     def __post_init__(self):
+        if not self.entries:
+            raise LexiconFormatError(f"empty {self.kind}")
         for pos, (first, second) in enumerate(self.entries):
             if not first or not second:
                 raise LexiconFormatError(f"{self.kind} entry {pos} has an empty field")

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .lexicon import TransliterationDictionary
+from .lexicon import TransliterationDictionary, read_input
 
 STANDARD = "standard"
 MODIFIED = "modified"
@@ -77,7 +76,7 @@ NO_EQUIVALENCE = EquivalenceClasses(())
 def load_equivalence_classes(path) -> EquivalenceClasses:
     """Read class definitions: one line of characters per class, blank lines ignored."""
     groups = []
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for line in read_input(path).splitlines():
         group = line.strip()
         if group:
             groups.append(group)
@@ -134,10 +133,8 @@ class MatchResult:
     mode: str
 
 
-def _canonicalization(dictionary, mode: str, eq: EquivalenceClasses) -> EquivalenceClasses:
-    """The classes that mode matches under; raises for an empty dictionary or bad mode."""
-    if len(dictionary) == 0:
-        raise ValueError("cannot match against an empty dictionary")
+def _canonicalization(mode: str, eq: EquivalenceClasses) -> EquivalenceClasses:
+    """The classes that mode matches under; raises for a bad mode."""
     if mode == STANDARD:
         return NO_EQUIVALENCE
     if mode == MODIFIED:
@@ -152,7 +149,7 @@ def best_match(
     eq: EquivalenceClasses = DEFAULT_EQUIVALENCE_CLASSES,
 ) -> MatchResult:
     """Scan the whole dictionary and return the least-distance entry."""
-    eq = _canonicalization(dictionary, mode, eq)
+    eq = _canonicalization(mode, eq)
     canonical_query = canonicalize(query, eq)
     # the module docstring's order: distance, then more matches, then index
     distance, negative_score, index = min(
@@ -279,7 +276,7 @@ def best_matches(
     in chunks of at most MATCH_CHUNK_CELLS query x standard pairs, and ties
     among each query's closest entries are broken as in the scan.
     """
-    eq = _canonicalization(dictionary, mode, eq)
+    eq = _canonicalization(mode, eq)
     standards = dictionary.standards
     queries = list(queries)
     results: list[MatchResult | None] = [None] * len(queries)

@@ -22,7 +22,7 @@ from .matcher import (
     EquivalenceClasses,
     best_matches,
 )
-from .prenorm import prenormalize
+from .prenorm import prenormalize, validate_digit_table
 from .seq2seq import ModelParams, infer_batch
 
 
@@ -153,15 +153,14 @@ def normalize_setups(
     after pre-normalization in every setup, not encodable by the model in the
     setups that use it. A fault of the call itself raises ValueError before
     any lookup, on every call: a setup that needs the model when none is
-    given, or an empty dictionary.
+    given, or a digit table that breaks prenorm.validate_digit_table's rules
+    (DigitTableError). A dictionary has entries: an empty one cannot be built.
     """
     setups = list(setups)
     needs_model = [setup.label for setup in setups if setup.uses_model]
     if needs_model and model is None:
         raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
-    if len(dictionary) == 0:
-        raise ValueError("cannot match against an empty dictionary")
-    digits = None if digit_table is None else frozenset(digit_table.items())
+    digits = None if digit_table is None else frozenset(validate_digit_table(digit_table).items())
     memos = [None if setup.uses_model else dictionary.result_memos.setdefault((eq, setup.mode, digits), {})
              for setup in setups]
     words = list(words)

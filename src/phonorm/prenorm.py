@@ -9,7 +9,8 @@ pass through here, since their case is significant.
 from __future__ import annotations
 
 import re
-from pathlib import Path
+
+from .lexicon import read_input
 
 DEFAULT_DIGIT_PHONES: dict[str, str] = {
     "0": "shunno",
@@ -63,8 +64,7 @@ def validate_digit_table(table: dict[str, str]) -> dict[str, str]:
 def load_digit_table(path) -> dict[str, str]:
     """Read a digit-phone table from a file of ten `<digit>\\t<phone>` lines."""
     table: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")

@@ -537,8 +537,6 @@ def train(
     (lexicon, config) always yields the same model.
     """
     pairs = [(prenormalize(src), tgt) for src, tgt in lexicon.entries]
-    if not pairs:
-        raise ValueError("training lexicon is empty")
     # the pipeline's rule: a blank form has no answer, so no pair may teach one
     for number, (src, tgt) in enumerate(pairs, start=1):
         if not src.strip() or not tgt.strip():

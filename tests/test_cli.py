@@ -25,6 +25,15 @@ from phonorm.seq2seq import CHECKPOINT_MAGIC, MAX_LEN_LIMIT, TrainingConfig, loa
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
 LEXICON_WORDS = ["kala", "bodo", "gato", "kolo", "sela", "mibu", "lodi", "tabe"]
 TESTSET = "kala\tkala\nkolo\tkala\nbaaad\tbad\n"
+# a well-formed body for each text input
+BODIES = {
+    "dictionary": DICT,
+    "lexicon": "kalo\tkala\nbodo\tbodo\n",
+    "test set": TESTSET,
+    "digit table": "".join(f"{d}\t{p}\n" for d, p in DEFAULT_DIGIT_PHONES.items()),
+    "equivalence classes": "ao\nbv\n",
+    "normalize --input": "kala\nkolo\nvodo\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -648,21 +657,46 @@ def test_unknown_setup_is_usage_error(workspace, capsys, argv):
 def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, what):
     dict_path = tmp_path / "dict.tsv"
     dict_path.write_text(DICT, encoding="utf-8")
-    load, body = {
-        "dictionary": (load_dictionary, DICT),
-        "lexicon": (load_parallel_lexicon, "kalo\tkala\nbodo\tbodo\n"),
-        "test set": (load_test_set, TESTSET),
-        "digit table": (load_digit_table, "".join(f"{d}\t{p}\n" for d, p in DEFAULT_DIGIT_PHONES.items())),
-        "equivalence classes": (load_equivalence_classes, "ao\nbv\n"),
-        "normalize --input": (
-            lambda path: run(capsys, ["normalize", "--input", str(path), "--dict", str(dict_path), "--setup", "2"]),
-            "kala\nkolo\nvodo\n",
-        ),
+    load = {
+        "dictionary": load_dictionary,
+        "lexicon": load_parallel_lexicon,
+        "test set": load_test_set,
+        "digit table": load_digit_table,
+        "equivalence classes": load_equivalence_classes,
+        "normalize --input": lambda path: run(
+            capsys, ["normalize", "--input", str(path), "--dict", str(dict_path), "--setup", "2"]),
     }[what]
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
-    plain.write_text(body, encoding="utf-8")
-    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    plain.write_text(BODIES[what], encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + BODIES[what].encode("utf-8"))
     assert load(marked) == load(plain)
+
+
+@pytest.mark.parametrize("what", list(BODIES))
+def test_a_file_that_is_not_utf8_is_a_data_error_that_names_it(workspace, capsys, tmp_path, what):
+    dict_path, bad = str(workspace / "dict.tsv"), tmp_path / "bad.txt"
+    argv = {
+        "dictionary": ["normalize", "kala", "--dict", str(bad)],
+        "lexicon": ["train", "--lexicon", str(bad), "--checkpoint", str(tmp_path / "m.ckpt")],
+        "test set": ["evaluate", "--testset", str(bad), "--dict", dict_path, "--setup", "2"],
+        "digit table": ["normalize", "ka2", "--dict", dict_path, "--digit-table", str(bad)],
+        "equivalence classes": ["normalize", "kala", "--dict", dict_path, "--eq-classes", str(bad)],
+        "normalize --input": ["normalize", "--input", str(bad), "--dict", dict_path],
+    }[what]
+    data = BODIES[what].encode("utf-8")
+    bad.write_bytes(data[:3] + b"\xff" + data[3:])
+    assert run(capsys, argv) == (4, "", f"error: {bad}: not UTF-8 text (invalid start byte at byte 3)\n")
+
+
+def test_a_key_error_is_a_bug_not_a_data_error(workspace, monkeypatch):
+    # each KeyError that data can cause is converted where it arises, so one
+    # that reaches main is a bug and must not be reported as bad data
+    def bug(path):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("phonorm.cli.load_dictionary", bug)
+    with pytest.raises(KeyError):
+        main(["backtranslit", "kala", "--dict", str(workspace / "dict.tsv")])
 
 
 def _corrupted(data: bytes, rng: random.Random, head: int) -> bytes:
@@ -681,20 +715,30 @@ def _corrupted(data: bytes, rng: random.Random, head: int) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("target", ["checkpoint", "dictionary", "test set"])
+@pytest.mark.parametrize(
+    "target",
+    ["checkpoint", "dictionary", "test set", "equivalence classes", "digit table", "normalize --input"],
+)
 def test_corrupted_inputs_exit_0_or_4_with_an_error_line(workspace, capsys, tmp_path, target):
     # seeded byte corruption of one input file: each run either succeeds or
     # reports a data error on stderr, and no exception leaves main
-    ckpt, dict_path, test_path = workspace / "model.ckpt", workspace / "dict.tsv", workspace / "testset.tsv"
-    source, argv = {
-        "checkpoint": (ckpt, ["normalize", "--dict", str(dict_path), "--checkpoint", "{}", "--setup", "4"]),
-        "dictionary": (dict_path, ["normalize", "--dict", "{}", "--setup", "2"]),
-        "test set": (test_path, ["evaluate", "--testset", "{}", "--dict", str(dict_path), "--setup", "2"]),
+    dict_path = str(workspace / "dict.tsv")
+    argv = {
+        "checkpoint": ["normalize", "--dict", dict_path, "--checkpoint", "{}", "--setup", "4"],
+        "dictionary": ["normalize", "--dict", "{}", "--setup", "2"],
+        "test set": ["evaluate", "--testset", "{}", "--dict", dict_path, "--setup", "2"],
+        "equivalence classes": ["normalize", "--dict", dict_path, "--eq-classes", "{}", "--setup", "2"],
+        "digit table": ["normalize", "--dict", dict_path, "--digit-table", "{}", "--setup", "2"],
+        "normalize --input": ["normalize", "--dict", dict_path, "--input", "{}", "--setup", "2"],
     }[target]
-    data = source.read_bytes()
-    offset = len(CHECKPOINT_MAGIC) + 1
-    head = offset + 8 + struct.unpack_from("<Q", data, offset)[0] if target == "checkpoint" else len(data)
-    bad = tmp_path / source.name
+    if target == "checkpoint":
+        data = (workspace / "model.ckpt").read_bytes()
+        offset = len(CHECKPOINT_MAGIC) + 1
+        head = offset + 8 + struct.unpack_from("<Q", data, offset)[0]
+    else:
+        data = BODIES[target].encode("utf-8")
+        head = len(data)
+    bad = tmp_path / "input"
     codes = []
     for case in range(300):
         bad.write_bytes(_corrupted(data, random.Random(case), head))

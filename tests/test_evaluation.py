@@ -20,7 +20,7 @@ from phonorm.evaluation import (
     random_word,
     report_to_dict,
 )
-from phonorm.lexicon import TestSet, TransliterationDictionary, load_dictionary, save_dictionary
+from phonorm.lexicon import LexiconFormatError, TestSet, TransliterationDictionary, load_dictionary, save_dictionary
 from phonorm.matcher import DEFAULT_EQUIVALENCE_CLASSES, canonicalize
 from phonorm.prenorm import prenormalize
 from phonorm.seq2seq import infer_batch
@@ -82,17 +82,17 @@ def test_evaluate_perfect_run_has_empty_analysis():
 
 
 def test_evaluate_validates_inputs():
-    d = make_dict(["bad"])
+    with pytest.raises(LexiconFormatError, match="^empty test set$"):
+        TestSet(entries=())
     with pytest.raises(ValueError):
-        evaluate(TestSet(entries=()), None, d)
-    with pytest.raises(ValueError):
-        evaluate(TestSet(entries=(("a", "a"),)), None, d, setup=SetupId.SETUP_3)
+        evaluate(TestSet(entries=(("a", "a"),)), None, make_dict(["bad"]), setup=SetupId.SETUP_3)
 
 
 def test_evaluate_raises_for_an_empty_dictionary():
-    # every entry would fail alike, so it is the call that fails, not the entries
-    with pytest.raises(ValueError, match="empty dictionary"):
-        evaluate(TestSet(entries=(("a", "a"), ("b", "b"))), None, make_dict([]), setup=SetupId.SETUP_1)
+    # every entry would fail alike, so the dictionary is refused where it is
+    # built, before any evaluation
+    with pytest.raises(LexiconFormatError, match="^empty dictionary$"):
+        make_dict([])
 
 
 def test_evaluate_failures_score_as_wrong(zero_model):

@@ -60,6 +60,14 @@ def test_load_rejects_empty_file(tmp_path):
         load_parallel_lexicon(write(tmp_path, ""))
 
 
+def test_a_byte_that_is_not_utf8_is_named_with_its_file_and_offset(tmp_path):
+    # the offset counts from the file's first byte, a byte-order mark included
+    path = tmp_path / "pairs.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tb\nc\t\xffd\n")
+    with pytest.raises(ValueError, match=r"pairs\.tsv: not UTF-8 text \(invalid start byte at byte 9\)$"):
+        load_parallel_lexicon(path)
+
+
 def test_dictionary_reverse_lookup_preserves_file_order(tmp_path):
     body = "কালো\tkala\nকলা\tkala\nভালো\tbhala\n"
     d = load_dictionary(write(tmp_path, body))
@@ -92,6 +100,12 @@ def test_save_load_round_trip(tmp_path):
     tpath = tmp_path / "test.tsv"
     save_test_set(t, tpath)
     assert load_test_set(tpath) == t
+
+
+@pytest.mark.parametrize("table", [ParallelLexicon, TransliterationDictionary, TestSet], ids=lambda t: t.kind)
+def test_a_table_with_no_entries_cannot_be_built(table):
+    with pytest.raises(LexiconFormatError, match=f"^empty {table.kind}$"):
+        table(entries=())
 
 
 def test_entries_validated_on_construction():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonorm.lexicon import TransliterationDictionary
+from phonorm.lexicon import LexiconFormatError, TransliterationDictionary
 from phonorm.matcher import (
     DEFAULT_EQUIVALENCE_CLASSES,
     MATCH_CHUNK_CELLS,
@@ -189,9 +189,10 @@ def test_best_match_modes_differ_on_class_swaps():
 
 
 def test_best_match_rejects_empty_dictionary_and_bad_mode():
+    # an empty dictionary is refused where it is built, before any match
+    with pytest.raises(LexiconFormatError, match="^empty dictionary$"):
+        TransliterationDictionary(entries=())
     for match in (best_match, lambda query, d, mode=MODIFIED: best_matches([query], d, mode), normalize):
-        with pytest.raises(ValueError):
-            match("abc", TransliterationDictionary(entries=()))
         with pytest.raises(ValueError):
             match("abc", make_dict(["abc"]), mode="fuzzy")
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import phonorm.pipeline
-from phonorm.lexicon import TransliterationDictionary
+from phonorm.lexicon import LexiconFormatError, TransliterationDictionary
 from phonorm.matcher import MODIFIED, NO_EQUIVALENCE, STANDARD, EquivalenceClasses, best_match
 from phonorm.pipeline import (
     BatchError,
@@ -17,7 +17,7 @@ from phonorm.pipeline import (
     normalize_batch,
     normalize_setups,
 )
-from phonorm.prenorm import DEFAULT_DIGIT_PHONES, prenormalize
+from phonorm.prenorm import DEFAULT_DIGIT_PHONES, DigitTableError, prenormalize
 from phonorm.seq2seq import infer
 
 
@@ -159,11 +159,10 @@ def test_normalize_batch_raises_for_an_unknown_mode(words):
 
 
 def test_normalize_batch_raises_for_an_empty_dictionary():
-    with pytest.raises(ValueError, match="empty dictionary"):
-        normalize_batch(["kala", "bodo"], TransliterationDictionary(entries=()))
-    # a call that runs no stage still checks the dictionary
-    with pytest.raises(ValueError, match="empty dictionary"):
-        normalize_batch([], TransliterationDictionary(entries=()))
+    # refused where it is built, with the ValueError that callers of
+    # normalize and normalize_batch caught before, so no memo hit can skip it
+    with pytest.raises(LexiconFormatError, match="^empty dictionary$"):
+        TransliterationDictionary(entries=())
 
 
 # repeats, case and elongation variants that pre-normalize alike ("kaala",
@@ -279,6 +278,16 @@ def test_memo_keys_on_the_digit_table_contents():
     table["2"] = "ek"  # the same dict object, other contents
     assert normalize("ka2", d, digit_table=table).final == "kaek"
     assert normalize("ka2", d).final == "kadui"
+
+
+@pytest.mark.parametrize("table", [{"2": "DUI"}, {**DEFAULT_DIGIT_PHONES, "2": "DUI"}], ids=["partial", "upper"])
+def test_a_digit_table_that_breaks_the_loaders_rules_raises_on_every_call(table):
+    # the file loader's rules: "ka2" would become "kaDUI", which
+    # prenormalize turns into "kadui", so the form would not be idempotent
+    d = make_dict(["kadui"])
+    for words in (["ka2"], []):
+        with pytest.raises(DigitTableError):
+            normalize_batch(words, d, digit_table=table)
 
 
 def test_memo_keys_on_the_mode():

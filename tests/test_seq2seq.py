@@ -12,7 +12,7 @@ import pytest
 
 from phonorm.charcodec import SOURCE, TARGET, EncodingError, build_alphabet, encode
 from phonorm.evaluation import generate_benchmark
-from phonorm.lexicon import ParallelLexicon
+from phonorm.lexicon import LexiconFormatError, ParallelLexicon
 from phonorm.prenorm import prenormalize
 from phonorm.seq2seq import (
     CHECKPOINT_MAGIC,
@@ -539,8 +539,9 @@ def test_training_config_rejects_an_unusable_field_when_built(index):
 
 
 def test_train_rejects_empty_lexicon():
-    with pytest.raises(ValueError):
-        train(ParallelLexicon(entries=()), TrainingConfig(epochs=1))
+    # refused where it is built, so train is never given one
+    with pytest.raises(LexiconFormatError, match="^empty parallel lexicon$"):
+        ParallelLexicon(entries=())
 
 
 @pytest.fixture()

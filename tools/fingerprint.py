@@ -57,7 +57,12 @@ Each line is `<name> <sha256>`, covering:
   temporary directory's path replaced by a fixed token, so the exit codes
   and error messages README's table describes are covered too. argparse
   words its messages differently from one Python version to the next, so
-  compare this line only between runs of one interpreter.
+  compare this line only between runs of one interpreter;
+* cli.errors.undecodable: the same for one call per text input
+  (dictionary, lexicon through `train`, test set, equivalence classes,
+  digit table, `--input` word list), each an input file above with one
+  0xff byte put in at offset 5, so the message for a file that is not UTF-8
+  is covered.
 
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has, and argparse's
@@ -267,6 +272,21 @@ def main() -> None:
         ]
         emit("cli.errors", b"".join(cli_outcome(argv) for argv in failing_calls).replace(
             str(tmp).encode("utf-8"), b"<tmp>"))
+
+        undecodable = []
+        for source, argv in [
+            (dict_path, ["normalize", "kala", "--dict"]),
+            (big / "lexicon.tsv", ["train", "--checkpoint", str(tmp / "u.ckpt"), "--lexicon"]),
+            (test_path, ["evaluate", "--dict", str(dict_path), "--setup", "2", "--testset"]),
+            (eq_path, ["normalize", "kala", "--dict", str(dict_path), "--eq-classes"]),
+            (digits_path, ["normalize", "ka2", "--dict", str(dict_path), "--digit-table"]),
+            (input_path, ["normalize", "--dict", str(dict_path), "--input"]),
+        ]:
+            bad = tmp / f"undecodable_{source.name}"
+            data = source.read_bytes()
+            bad.write_bytes(data[:5] + b"\xff" + data[5:])
+            undecodable.append(cli_outcome([*argv, str(bad)]))
+        emit("cli.errors.undecodable", b"".join(undecodable).replace(str(tmp).encode("utf-8"), b"<tmp>"))
 
 
 if __name__ == "__main__":
