@@ -88,7 +88,7 @@ def _load_matching(args, parser):
 def _read_words(args) -> list[str]:
     words = list(args.words)
     if args.input is not None:
-        words.extend(line for line in read_input(args.input).splitlines() if line.strip())
+        words.extend(line for line in read_input(args.input) if line.strip())
     return words
 
 

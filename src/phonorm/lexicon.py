@@ -27,25 +27,27 @@ class LexiconFormatError(ValueError):
     """Raised for files that do not follow the two-column TSV contract."""
 
 
-def read_input(path) -> str:
-    """The text of an input file: UTF-8, with a leading byte-order mark
-    dropped. A byte that is not UTF-8 raises ValueError naming the file."""
+def read_input(path) -> list[str]:
+    """The lines of an input file: UTF-8, with a leading byte-order mark
+    dropped, split at each newline after universal-newline translation
+    (`\\r\\n` and `\\r` read as `\\n`), a final newline ending the last line.
+    No other character, such as U+0085 or U+2028, ends a line. A byte that
+    is not UTF-8 raises ValueError naming the file."""
     try:
         # utf-8, not utf-8-sig, so that the offset counts from the first byte
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return text.removeprefix("\ufeff")
+    text = text.removeprefix("\ufeff")
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def _parse_pairs(path, what: str) -> tuple[tuple[str, str], ...]:
-    text = read_input(path)
-    if text.endswith("\n"):
-        text = text[:-1]
-    if not text:
+    lines = read_input(path)
+    if lines in ([], [""]):  # no text, or a lone newline
         raise LexiconFormatError(f"{path}: empty {what} file")
     pairs = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         cols = line.split("\t")
         if len(cols) != 2:
             raise LexiconFormatError(

@@ -76,7 +76,7 @@ NO_EQUIVALENCE = EquivalenceClasses(())
 def load_equivalence_classes(path) -> EquivalenceClasses:
     """Read class definitions: one line of characters per class, blank lines ignored."""
     groups = []
-    for line in read_input(path).splitlines():
+    for line in read_input(path):
         group = line.strip()
         if group:
             groups.append(group)

@@ -50,10 +50,11 @@ class SetupId(enum.Enum):
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}") from None
 
 
-# words that each memo of model-free results keeps, the oldest evicted
-# first. An entry costs about 160 bytes (a 96-byte result, about 25 of dict
-# slot, and its pre-normalized string where that is a string of its own),
-# plus about 60 for the word once the caller drops it: under 1 MB a memo.
+# words that each memo of model-free results keeps between calls: a call
+# writes all its new results, then evicts the oldest down to this. An entry
+# costs about 160 bytes (a 96-byte result, about 25 of dict slot, and its
+# pre-normalized string where that is a string of its own), plus about 60
+# for the word once the caller drops it: under 1 MB a memo.
 MEMO_WORDS = 4096
 
 
@@ -138,16 +139,16 @@ def normalize_setups(
     without the model or when the model decodes to an empty string.
     Identical words share one result object within a setup.
 
-    Across calls, the dictionary keeps the results of the setups that do not
-    use the model (setup_1 and setup_2): one memo per (eq, mode, digit table
-    contents), of at most MEMO_WORDS words, the oldest evicted first, about
-    160 bytes a word plus the word itself. A word that a setup's memo holds
-    skips every stage and returns the same result object as before; only
-    the words that some setup of the call does not hold run the stages, and
-    a call whose words are all known runs no stage at all, only lookups.
-    Results of the model setups are never kept, since an in-place update of
-    a ModelParams tensor is an update of the model; nor are BatchErrors,
-    which carry their position.
+    Each setup writes its results to one store, word -> result, and its list
+    is read back from that store. For the setups that do not use the model
+    (setup_1 and setup_2) the store is the dictionary's memo for (eq, mode,
+    digit table contents), kept across calls; for the model setups it lives
+    for this call only, since an in-place update of a ModelParams tensor is
+    an update of the model. A word that every setup's store holds runs no
+    stage and returns the same result object as before, so a call whose
+    words are all known makes only lookups. Once the lists are read, each
+    memo drops its oldest words down to MEMO_WORDS. BatchErrors, which carry
+    their position, are never stored.
 
     A word's own fault becomes a BatchError at each of its positions: blank
     after pre-normalization in every setup, not encodable by the model in the
@@ -161,25 +162,13 @@ def normalize_setups(
     if needs_model and model is None:
         raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
     digits = None if digit_table is None else frozenset(validate_digit_table(digit_table).items())
-    memos = [None if setup.uses_model else dictionary.result_memos.setdefault((eq, setup.mode, digits), {})
-             for setup in setups]
+    stores = [{} if setup.uses_model else dictionary.result_memos.setdefault((eq, setup.mode, digits), {})
+              for setup in setups]
     words = list(words)
-    distinct = dict.fromkeys(words)
-    # per setup, the results its memo holds for this call's words, all taken
-    # before any insertion can evict them
-    knowns = [{} if memo is None else {word: memo[word] for word in distinct if word in memo} for memo in memos]
-    new = [word for word in distinct if not all(word in known for known in knowns)]
-    failures = _normalize_new(new, dictionary, model, setups, knowns, memos, eq, digit_table) if new else {}
-    return [[known[word] if word in known else BatchError(index, word, failures[word])
-             for index, word in enumerate(words)] for known in knowns]
-
-
-def _normalize_new(words, dictionary, model, setups, knowns, memos, eq, digit_table) -> dict[str, str]:
-    """Run every stage for words, the distinct words that some setup does not
-    know: add each setup's new results to its known results and its memo,
-    and return word -> message for each word that fails in some setup."""
-    needs_model = any(setup.uses_model for setup in setups)
-    forms = {word: prenormalize(word, digit_table) for word in words}
+    forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)
+             if not all(word in store for store in stores)}
+    if not forms:  # every setup knows every word: lookups only
+        return [[store[word] for word in words] for store in stores]
     # form -> error message, in the setups where the form fails
     failures = {form: "empty word: nothing to normalize" for form in forms.values() if not form.strip()}
     plain = {form: form for form in forms.values() if form not in failures}
@@ -188,37 +177,36 @@ def _normalize_new(words, dictionary, model, setups, knowns, memos, eq, digit_ta
             encode([form], model.source_alphabet, model.max_len)
         except EncodingError as exc:
             failures[form] = str(exc)
-    encodable = [form for form in plain if form not in failures]
-    decoded = dict(zip(encodable, infer_batch(model, encodable))) if needs_model else {}
-    # per setup, form -> first degree for each form of a word it does not know
-    firsts = []
-    for setup, known in zip(setups, knowns):
-        source = decoded if setup.uses_model else plain
-        firsts.append({form: source[form] for word, form in forms.items() if word not in known and form in source})
+    encodable = [form for form in plain if needs_model and form not in failures]
+    decoded = dict(zip(encodable, infer_batch(model, encodable))) if encodable else {}
+    # per setup, word -> first degree for each word its store lacks, all
+    # taken before any setup writes, since two setups may share one memo
+    todos = []
     queries: dict[str, dict[str, None]] = {}  # mode -> distinct queries
-    for setup, first_degrees in zip(setups, firsts):
-        queries.setdefault(setup.mode, {}).update((f or form, None) for form, f in first_degrees.items())
-    matches = {mode: dict(zip(qs, best_matches(qs, dictionary, mode, eq))) for mode, qs in queries.items()}
-    for setup, first_degrees, known, memo in zip(setups, firsts, knowns, memos):
-        added: dict[str, NormalizationResult] = {}
-        for word, form in forms.items():
-            if word not in known and form in first_degrees:
-                first = first_degrees[form]
-                match = matches[setup.mode][first or form]
-                final = match.matched_standard
-                added[word] = NormalizationResult(
-                    input=word,
-                    prenormalized=final if form == final else form,
-                    first_degree=final if first == final else first,
-                    final=final,
-                    distance=match.distance,
-                    back_transliterations=dictionary.natives(final),
-                    mode=setup.mode,
-                    setup=setup.label,
-                )
-        known.update(added)
-        if memo is not None:
-            memo.update(added)
-            for word in list(islice(memo, max(0, len(memo) - MEMO_WORDS))):
-                del memo[word]  # the oldest
-    return {word: failures[form] for word, form in forms.items() if form in failures}
+    for setup, store in zip(setups, stores):
+        source = decoded if setup.uses_model else plain
+        todo = {word: source[form] for word, form in forms.items() if word not in store and form in source}
+        queries.setdefault(setup.mode, {}).update((first or forms[word], None) for word, first in todo.items())
+        todos.append(todo)
+    matches = {mode: dict(zip(qs, best_matches(qs, dictionary, mode, eq))) for mode, qs in queries.items() if qs}
+    for setup, store, todo in zip(setups, stores, todos):
+        for word, first in todo.items():
+            form = forms[word]
+            match = matches[setup.mode][first or form]
+            final = match.matched_standard
+            store[word] = NormalizationResult(
+                input=word,
+                prenormalized=final if form == final else form,
+                first_degree=final if first == final else first,
+                final=final,
+                distance=match.distance,
+                back_transliterations=dictionary.natives(final),
+                mode=setup.mode,
+                setup=setup.label,
+            )
+    outcomes = [[store[word] if word in store else BatchError(index, word, failures[forms[word]])
+                 for index, word in enumerate(words)] for store in stores]
+    for store in stores:  # a model setup's store goes with the call anyway
+        for word in list(islice(store, max(0, len(store) - MEMO_WORDS))):
+            del store[word]  # the oldest
+    return outcomes

@@ -64,7 +64,7 @@ def validate_digit_table(table: dict[str, str]) -> dict[str, str]:
 def load_digit_table(path) -> dict[str, str]:
     """Read a digit-phone table from a file of ten `<digit>\\t<phone>` lines."""
     table: dict[str, str] = {}
-    for lineno, line in enumerate(read_input(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")

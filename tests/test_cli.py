@@ -19,7 +19,7 @@ from phonorm.cli import build_parser, main
 from phonorm.evaluation import generate_benchmark
 from phonorm.lexicon import load_dictionary, load_parallel_lexicon, load_test_set, save_parallel_lexicon
 from phonorm.matcher import load_equivalence_classes
-from phonorm.prenorm import DEFAULT_DIGIT_PHONES, load_digit_table
+from phonorm.prenorm import DEFAULT_DIGIT_PHONES, DigitTableError, load_digit_table
 from phonorm.seq2seq import CHECKPOINT_MAGIC, MAX_LEN_LIMIT, TrainingConfig, load_checkpoint, save_checkpoint
 
 DICT = "nk\tkala\nnb\tbodo\nnk2\tkala\nng\tgato\n"
@@ -670,6 +670,43 @@ def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, what):
     plain.write_text(BODIES[what], encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + BODIES[what].encode("utf-8"))
     assert load(marked) == load(plain)
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\u2028"], ids=["U+0085", "U+2028"])
+@pytest.mark.parametrize(
+    "what",
+    ["dictionary", "equivalence classes", "digit table", "normalize --input", "backtranslit --input"],
+)
+def test_only_a_newline_ends_a_line(capsys, tmp_path, what, sep):
+    # str.splitlines would also break at sep; every reader keeps it inside
+    # the line, and reads a file with \r\n endings as it reads one with \n
+    dict_path = tmp_path / "dict.tsv"
+    dict_path.write_text(f"n{sep}k\tka{sep}la\nnb\tbodo\n", encoding="utf-8")
+    phones = {**DEFAULT_DIGIT_PHONES, "2": f"du{sep}i"}
+    body, read, expected = {
+        "dictionary": (dict_path.read_text(encoding="utf-8"), lambda path: load_dictionary(path).entries,
+                       ((f"n{sep}k", f"ka{sep}la"), ("nb", "bodo"))),
+        "equivalence classes": (f"a{sep}o\nbv\n", lambda path: load_equivalence_classes(path).classes,
+                                (frozenset(f"a{sep}o"), frozenset("bv"))),
+        "digit table": ("".join(f"{d}\t{p}\n" for d, p in phones.items()), _digit_table_error,
+                        f"phone word {phones['2']!r} for digit '2' must be lowercase ASCII letters"),
+        "normalize --input": (f"ka{sep}la\nbodo\n", lambda path: run(capsys, [
+            "normalize", "--input", str(path), "--dict", str(dict_path), "--setup", "2", "--format", "text"]),
+            (0, f"ka{sep}la\tka{sep}la\tka{sep}la\tka{sep}la\t0\tsetup_2\tn{sep}k\n"
+                f"bodo\tbodo\tbodo\tbodo\t0\tsetup_2\tnb\n", "")),
+        "backtranslit --input": (f"ka{sep}la\n", lambda path: run(capsys, [
+            "backtranslit", "--input", str(path), "--dict", str(dict_path)]), (0, f"ka{sep}la\tn{sep}k\n", "")),
+    }[what]
+    plain, crlf = tmp_path / "plain.txt", tmp_path / "crlf.txt"
+    plain.write_text(body, encoding="utf-8", newline="")
+    crlf.write_text(body.replace("\n", "\r\n"), encoding="utf-8", newline="")
+    assert read(plain) == read(crlf) == expected
+
+
+def _digit_table_error(path) -> str:
+    with pytest.raises(DigitTableError) as err:
+        load_digit_table(path)
+    return str(err.value)
 
 
 @pytest.mark.parametrize("what", list(BODIES))

@@ -8,7 +8,14 @@ import pytest
 
 import phonorm.pipeline
 from phonorm.lexicon import LexiconFormatError, TransliterationDictionary
-from phonorm.matcher import MODIFIED, NO_EQUIVALENCE, STANDARD, EquivalenceClasses, best_match
+from phonorm.matcher import (
+    DEFAULT_EQUIVALENCE_CLASSES,
+    MODIFIED,
+    NO_EQUIVALENCE,
+    STANDARD,
+    EquivalenceClasses,
+    best_match,
+)
 from phonorm.pipeline import (
     BatchError,
     NormalizationResult,
@@ -256,8 +263,8 @@ def test_normalize_batch_shares_one_result_between_identical_words(tiny_model):
 
 @pytest.mark.parametrize("mode", [STANDARD, MODIFIED])
 def test_memo_eviction_within_a_call_keeps_every_result(monkeypatch, mode):
-    # with room for two words, a call evicts words it already counted as
-    # known while it inserts its new ones
+    # with room for two words, every call holds more words than the memo
+    # keeps, some known and some new: none may be evicted before it is read
     monkeypatch.setattr(phonorm.pipeline, "MEMO_WORDS", 2)
     d = make_dict(REPEATS_DICT)
     words = ["kaala", "bodo", "mibu", "kaala", "tomo", "kilo", "bodo", "mibu"]  # five distinct
@@ -269,6 +276,33 @@ def test_memo_eviction_within_a_call_keeps_every_result(monkeypatch, mode):
                 oracle = best_match(prenormalize(word), d, mode)
                 assert (result.final, result.distance) == (oracle.matched_standard, oracle.distance)
             assert all(len(memo) <= 2 for memo in d.result_memos.values())
+
+
+@pytest.mark.parametrize("setups", [[SetupId.SETUP_2], [SetupId.SETUP_2, SetupId.SETUP_2],
+                                    [SetupId.SETUP_1, SetupId.SETUP_2]], ids=["one", "twice", "both"])
+def test_a_call_past_the_memo_bound_keeps_its_last_words(monkeypatch, setups):
+    monkeypatch.setattr(phonorm.pipeline, "MEMO_WORDS", 3)
+    d = make_dict(REPEATS_DICT)
+    words = ["kaala", "bodo", "mibu", "kaala", "tomo", "kilo", "bodo", "tumi"]  # six distinct
+    for setup, outcome in zip(setups, normalize_setups(words, d, None, setups)):
+        for word, result in zip(words, outcome):
+            oracle = best_match(prenormalize(word), d, setup.mode)
+            assert (result.input, result.final, result.distance) == (word, oracle.matched_standard, oracle.distance)
+        memo = d.result_memos[(DEFAULT_EQUIVALENCE_CLASSES, setup.mode, None)]
+        assert list(memo) == ["tomo", "kilo", "tumi"]  # the last three, in first-seen order
+        assert all(memo[word] is result for word, result in zip(words, outcome) if word in memo)
+
+
+@pytest.mark.parametrize("setup", [SetupId.SETUP_2, SetupId.SETUP_4])
+def test_the_same_setup_twice_gives_two_lists_equal_to_one(tiny_model, setup):
+    # without the model the two share one memo, so neither may take its
+    # words after the other writes; "kaala" and "mibu" are known beforehand
+    model = tiny_model if setup.uses_model else None
+    d = make_dict(REPEATS_DICT)
+    normalize_batch(["kaala", "mibu"], d, model=model, mode=setup.mode)
+    (once,) = normalize_setups(REPEATS, make_dict(REPEATS_DICT), model, [setup])
+    assert normalize_setups(REPEATS, d, model, [setup, setup]) == [once, once]
+    assert normalize_batch(REPEATS, d, model=model, mode=setup.mode) == once
 
 
 def test_memo_keys_on_the_digit_table_contents():
@@ -368,6 +402,19 @@ def test_words_every_setup_knows_run_no_stage(monkeypatch):
     for got_setup, before_setup in zip(again, [setup_1, setup_2]):
         for got, before in zip(got_setup, before_setup):
             assert got is before
+
+
+def test_a_call_whose_new_words_all_fail_runs_neither_model_nor_matcher(tiny_model, monkeypatch):
+    # "kalé" and "KALÉ" are known without the model and cannot be encoded
+    # with it; the blank words fail in every setup
+    d = make_dict(REPEATS_DICT)
+    normalize_setups(["kalé", "KALÉ"], d, None, [SetupId.SETUP_1, SetupId.SETUP_2])
+    words = ["", "kalé", " ", "KALÉ", ""]
+    expected = normalize_setups(words, make_dict(REPEATS_DICT), tiny_model, list(SetupId))
+    for name in ("best_matches", "infer_batch"):
+        monkeypatch.setattr(phonorm.pipeline, name, _fail_on_call(name))
+    assert normalize_setups(words, d, tiny_model, list(SetupId)) == expected
+    assert normalize_setups(words[:3], d, tiny_model, [SetupId.SETUP_4]) == [expected[3][:3]]
 
 
 def test_a_mixed_call_matches_only_the_words_it_does_not_know(monkeypatch):

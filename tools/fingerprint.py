@@ -62,7 +62,13 @@ Each line is `<name> <sha256>`, covering:
   (dictionary, lexicon through `train`, test set, equivalence classes,
   digit table, `--input` word list), each an input file above with one
   0xff byte put in at offset 5, so the message for a file that is not UTF-8
-  is covered.
+  is covered;
+* cli.normalize.separators: the same CLI's structured `normalize --input`
+  stdout under setup 2 on generate_benchmark()'s dictionary plus entries,
+  and on test words, that hold a character str.splitlines breaks at but a
+  newline is not (U+000B, U+000C, U+001C-U+001E, U+0085, U+2028, U+2029)
+  inside a line, so the rule for what ends a line is covered. Older trees
+  that split `--input` at those characters print a different line.
 
 BLAS is pinned to one thread before numpy is imported, so the float
 results do not depend on how many cores the machine has, and argparse's
@@ -72,7 +78,8 @@ terminal. The script imports only long-standing library names
 load_dictionary, normalize, normalize_batch and cli.main; the dict5k,
 custom_tables and errors lines use cli.main alone, the long line cli.main
 and prenormalize, the warm lines load_dictionary with normalize_batch or
-normalize), so it also runs against older trees.
+normalize, the separators line cli.main alone), so it also runs against
+older trees.
 """
 
 import os
@@ -113,6 +120,8 @@ UNENCODABLE = ["kalé", "99999", "kalakalakalakala"]
 # unlike DEFAULT_DIGIT_PHONES
 EQ_CLASSES = ["ao", "bvw", "ie"]
 DIGIT_PHONES = ["jiro", "wan", "tu", "tri", "for", "faib", "siks", "sabon", "eit", "nain"]
+# characters that str.splitlines ends a line at and a newline is not
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 DIGIT_WORDS = ["2", "ka2", "b4d", "mo9", "8ta", "si6", "1la", "d0bi", "ta7", "3ni", "5", "kaaa5"]
 
 
@@ -287,6 +296,18 @@ def main() -> None:
             bad.write_bytes(data[:5] + b"\xff" + data[5:])
             undecodable.append(cli_outcome([*argv, str(bad)]))
         emit("cli.errors.undecodable", b"".join(undecodable).replace(str(tmp).encode("utf-8"), b"<tmp>"))
+
+        sep_dict_path, sep_input = tmp / "separators.tsv", tmp / "separators.txt"
+        split = [(f"{native[:1]}{sep}{native[1:]}", f"{standard[:2]}{sep}{standard[2:]}")
+                 for sep, (native, standard) in zip(SEPARATORS, bench.dictionary.entries)]
+        sep_dict_path.write_text(dict_path.read_text(encoding="utf-8") + "".join(
+            f"{native}\t{standard}\n" for native, standard in split), encoding="utf-8")
+        sep_words = [standard for _, standard in split] + [
+            f"{word[:3]}{sep}{word[3:]}" for sep, word in zip(SEPARATORS * 2, words[::7])]
+        sep_input.write_text("".join(f"{w}\n" for w in sep_words), encoding="utf-8")
+        emit("cli.normalize.separators", cli_stdout(
+            ["normalize", "--input", str(sep_input), "--dict", str(sep_dict_path),
+             "--setup", "2", "--format", "structured"]))
 
 
 if __name__ == "__main__":
