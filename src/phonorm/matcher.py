@@ -225,11 +225,15 @@ class _Index:
         prev = np.zeros((width + 1, count, n), dtype=dtype)
         cur = np.empty_like(prev)
         same = np.empty((width, count, n), dtype=bool)
+        same_int = same.view(np.int8)  # subtracted without a cast from bool
         diagonal = np.empty(same.shape, dtype=dtype)
+        # flat offset of cell (len(k), 0, k) in a table; query q's row is
+        # those cells plus q * n, one take instead of a three-array index
+        at_length = self.lengths * (count * n) + self.entries
         out = np.zeros((count, n), dtype=dtype)  # row 0, an empty query's P
         for i in range(1, longest_query + 1):
             np.equal(codes[i - 1], columns, out=same)
-            np.subtract(prev[:-1], same, out=diagonal)  # substitution
+            np.subtract(prev[:-1], same_int, out=diagonal)  # substitution
             np.add(prev[1:], 1, out=cur[1:])  # deletion
             np.minimum(cur[1:], diagonal, out=cur[1:])
             cur[0] = i
@@ -237,7 +241,7 @@ class _Index:
                 np.minimum(cur[j], cur[j - 1], out=cur[j])  # insertion
             done = by_length[first[i] : first[i + 1]]
             if done.size:
-                out[done] = cur[self.lengths, done[:, None], self.entries]
+                out[done] = cur.take(at_length + done[:, None] * n)
             prev, cur = cur, prev
         out += self.lengths
         return out
@@ -255,7 +259,9 @@ def _index(dictionary: TransliterationDictionary, eq: EquivalenceClasses) -> _In
 # call of a pass touches width x this many cells, and its scratch (two int8
 # tables of (width + 1) x pairs, the bool same and one int8 temporary of
 # width x pairs) is about 0.36 MB at 200 entries of up to 5 characters (81
-# queries a pass) and 0.45 MB at 5k entries of up to 7 (3 queries); int16
+# queries a pass) and 0.45 MB at 5k entries of up to 7 (3 queries), plus
+# the offsets the distances are read at: 8 bytes per entry, and 8 per pair
+# of the queries that end on one row, at most 0.16 MB more; int16
 # tables, for queries or standards of 127 characters or more, take about
 # 1.8 times as much. With int16 tables, stacked calls ran fastest at this size
 # among 2^12 to 2^16; at 2^16 (3.4 MB a pass at 5k) they ran up to 2x

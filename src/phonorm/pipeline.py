@@ -45,9 +45,14 @@ class SetupId(enum.Enum):
     def of(cls, uses_model: bool, mode: str) -> "SetupId":
         """The setup that runs (or skips) the first degree and matches under mode."""
         try:
-            return cls((uses_model, mode))
-        except ValueError:
+            return _SETUPS[uses_model, mode]
+        except (KeyError, TypeError):  # TypeError: an unhashable mode
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}") from None
+
+
+# each setup by its value: a dict lookup, which on every normalize call
+# costs a fraction of calling the Enum by value
+_SETUPS = {setup.value: setup for setup in SetupId}
 
 
 # words that each memo of model-free results keeps between calls: a call
@@ -153,22 +158,26 @@ def normalize_setups(
     A word's own fault becomes a BatchError at each of its positions: blank
     after pre-normalization in every setup, not encodable by the model in the
     setups that use it. A fault of the call itself raises ValueError before
-    any lookup, on every call: a setup that needs the model when none is
-    given, or a digit table that breaks prenorm.validate_digit_table's rules
-    (DigitTableError). A dictionary has entries: an empty one cannot be built.
+    any lookup, on every call: first a setup that needs the model when none
+    is given, then a digit table that breaks prenorm.validate_digit_table's
+    rules (DigitTableError). A dictionary has entries: an empty one cannot
+    be built.
     """
     setups = list(setups)
-    needs_model = [setup.label for setup in setups if setup.uses_model]
-    if needs_model and model is None:
-        raise ValueError(f"{needs_model[0]} applies the first-degree model but none was given")
+    for setup in setups:
+        if setup.uses_model and model is None:
+            raise ValueError(f"{setup.label} applies the first-degree model but none was given")
     digits = None if digit_table is None else frozenset(validate_digit_table(digit_table).items())
     stores = [{} if setup.uses_model else dictionary.result_memos.setdefault((eq, setup.mode, digits), {})
               for setup in setups]
     words = list(words)
+    try:  # every setup knows every word: lookups only, before any stage is set up
+        return [[store[word] for word in words] for store in stores]
+    except KeyError:
+        pass
+    needs_model = any(setup.uses_model for setup in setups)
     forms = {word: prenormalize(word, digit_table) for word in dict.fromkeys(words)
              if not all(word in store for store in stores)}
-    if not forms:  # every setup knows every word: lookups only
-        return [[store[word] for word in words] for store in stores]
     # form -> error message, in the setups where the form fails
     failures = {form: "empty word: nothing to normalize" for form in forms.values() if not form.strip()}
     plain = {form: form for form in forms.values() if form not in failures}

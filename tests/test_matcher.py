@@ -306,8 +306,11 @@ def test_index_distances_equal_levenshtein_for_every_pair():
         queries = mixed_batch(rng, standards, 8) + [random_word(rng, MIXED_ALPHABET, hi + 1, hi + 4)]
         eq = rng.choice(MIXED_CLASSES)
         canonical = [canonicalize(q, eq) for q in queries]
-        got = _Index(tuple(standards), eq).distances(canonical)
-        assert got.tolist() == [[levenshtein(q, canonicalize(s, eq)) for s in standards] for q in canonical]
+        index = _Index(tuple(standards), eq)
+        expected = [[levenshtein(q, canonicalize(s, eq)) for s in standards] for q in canonical]
+        assert index.distances(canonical).tolist() == expected
+        # each query in a pass of its own too, where its row is read at offset 0
+        assert [index.distances([q]).tolist()[0] for q in canonical] == expected
         longest = max(map(len, standards))
         kinds["one_length" if len(set(map(len, standards))) == 1 else "mixed_lengths"] += 1
         kinds["empty"] += queries.count("")

@@ -438,3 +438,18 @@ def test_a_missing_model_raises_even_when_the_memo_knows_every_word():
     normalize_batch(["kala", "bodo"], d, mode=STANDARD)
     with pytest.raises(ValueError, match="setup_3 applies the first-degree model but none was given"):
         normalize_setups(["kala", "bodo"], d, None, [SetupId.SETUP_1, SetupId.SETUP_3])
+
+
+def test_call_faults_raise_in_the_documented_order_when_the_memo_knows_every_word():
+    # the checks run before any lookup: a model setup without a model first,
+    # then the digit table; normalize_batch checks its mode before either
+    d = make_dict(REPEATS_DICT)
+    words = ["kala", "bodo"]
+    normalize_setups(words, d, None, [SetupId.SETUP_1, SetupId.SETUP_2])
+    bad_table = {**DEFAULT_DIGIT_PHONES, "2": "DUI"}
+    with pytest.raises(ValueError, match="setup_3 applies the first-degree model but none was given"):
+        normalize_setups(words, d, None, [SetupId.SETUP_1, SetupId.SETUP_3], digit_table=bad_table)
+    with pytest.raises(DigitTableError):
+        normalize_setups(words, d, None, [SetupId.SETUP_1, SetupId.SETUP_2], digit_table=bad_table)
+    with pytest.raises(ValueError, match=r"^mode must be one of \('standard', 'modified'\), got 'bogus'$"):
+        normalize_batch(words, d, mode="bogus")

@@ -33,6 +33,11 @@ Each line is `<name> <sha256>`, covering:
   file and a digit table that differ from the defaults, on
   generate_benchmark()'s dictionary and test set plus words with digits,
   so the two loaders and non-default classes reach the outputs;
+* normalize.custom_tables.single.warm: the reprs of `normalize`'s results
+  under setups 1 and 2 with those two tables, read by their loaders, one
+  call per word of that input, from the second of two such rounds on one
+  loaded dictionary, so a word answered from the kept results under
+  non-default tables is checked too;
 * cli.normalize.dict5k.setup<s>: the same CLI's structured `normalize`
   stdout under setups 1 and 2 on the test inputs of a 5,000-entry benchmark
   that `generate` writes as generate_benchmark(seed=7, dict_size=5000,
@@ -75,10 +80,11 @@ results do not depend on how many cores the machine has, and argparse's
 line width to 80 columns, so its usage text does not depend on the
 terminal. The script imports only long-standing library names
 (generate_benchmark, train, infer, the checkpoint functions, prenormalize,
-load_dictionary, normalize, normalize_batch and cli.main; the dict5k,
-custom_tables and errors lines use cli.main alone, the long line cli.main
-and prenormalize, the warm lines load_dictionary with normalize_batch or
-normalize, the separators line cli.main alone), so it also runs against
+load_dictionary, load_equivalence_classes, load_digit_table, normalize,
+normalize_batch and cli.main; the dict5k, cli.custom_tables and errors
+lines use cli.main alone, the long line cli.main and prenormalize, the warm
+lines load_dictionary with normalize_batch or normalize (and the two table
+loaders), the separators line cli.main alone), so it also runs against
 older trees.
 """
 
@@ -103,8 +109,9 @@ sys.path.append(str(ROOT / "src"))
 from phonorm import cli  # noqa: E402
 from phonorm.evaluation import generate_benchmark  # noqa: E402
 from phonorm.lexicon import load_dictionary, save_dictionary, save_test_set  # noqa: E402
+from phonorm.matcher import load_equivalence_classes  # noqa: E402
 from phonorm.pipeline import normalize, normalize_batch  # noqa: E402
-from phonorm.prenorm import prenormalize  # noqa: E402
+from phonorm.prenorm import load_digit_table, prenormalize  # noqa: E402
 from phonorm.seq2seq import TrainingConfig, infer, load_checkpoint, save_checkpoint, train  # noqa: E402
 
 CHECKPOINT = ROOT / "perfbench" / "data" / "model.ckpt"
@@ -226,6 +233,11 @@ def main() -> None:
             [cli_stdout(["normalize", "--input", str(custom_path), "--setup", setup, *tables, *common])
              for setup in "24"]
             + [cli_stdout(["evaluate", "--testset", str(custom_test_path), "--setup", "all", *tables, *common])]))
+        custom_dictionary = load_dictionary(dict_path)
+        custom_eq, custom_digits = load_equivalence_classes(eq_path), load_digit_table(digits_path)
+        custom_rounds = [[repr(normalize(word, custom_dictionary, eq=custom_eq, mode=mode, digit_table=custom_digits))
+                          for mode in ("standard", "modified") for word in words + DIGIT_WORDS] for _ in range(2)]
+        emit("normalize.custom_tables.single.warm", "\n".join(custom_rounds[1]).encode("utf-8"))
 
         big = tmp / "dict5k"
         cli_stdout(["generate", "--out-dir", str(big), "--seed", "7", "--dict-size", "5000",
